@@ -31,7 +31,6 @@ from .series import (
 )
 from .symreps import (
     Partition,
-    SkewShape,
     VirtualRep,
     exterior_rho,
     hook_dimension,
@@ -40,7 +39,6 @@ from .symreps import (
     lemma_key_check,
     lemma_key_expected,
     lr_coefficient,
-    skew_shape_components,
     verify_main2,
 )
 
@@ -65,7 +63,6 @@ __all__ = [
     "g_series",
     "phi_from_table",
     "Partition",
-    "SkewShape",
     "VirtualRep",
     "exterior_rho",
     "hook_dimension",
@@ -74,6 +71,5 @@ __all__ = [
     "lemma_key_check",
     "lemma_key_expected",
     "lr_coefficient",
-    "skew_shape_components",
     "verify_main2",
 ]

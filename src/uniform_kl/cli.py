@@ -2,8 +2,10 @@
 the verification suites, with text, JSON, or CSV output.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failing
-case, 2 on usage errors.  Large integers are emitted as decimal strings in
-JSON so nothing is lost to floating point.
+case, 2 on usage errors.  A verification bound outside the suite's domain,
+a bound flag the suite does not use, and a bound so small that the suite
+runs no case are usage errors.  Large integers are emitted as decimal
+strings in JSON so nothing is lost to floating point.
 """
 
 from __future__ import annotations
@@ -210,6 +212,10 @@ def _table_rows(n_max: int):
     ]
 
 
+def _flag(param: str) -> str:
+    return "--" + param.replace("_", "-")
+
+
 def _usage_error(message: str) -> int:
     print("error: %s" % message, file=sys.stderr)
     return 2
@@ -268,8 +274,26 @@ def cmd_reps(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
-    reports = [run_suite(name, args.n_max, args.m_max, args.order) for name in names]
+    bounds = {"n_max": args.n_max, "m_max": args.m_max, "order": args.order}
+    if args.suite == "all":
+        names = list(_SUITES)
+    else:
+        names = [args.suite]
+        used = _SUITES[args.suite][1]
+        for param, value in bounds.items():
+            if value is not None and param != used:
+                return _usage_error("suite %s does not use %s" % (args.suite, _flag(param)))
+    reports = []
+    for name in names:
+        try:
+            report = run_suite(name, **bounds)
+        except ValueError as exc:
+            return _usage_error("suite %s: %s" % (name, exc))
+        if not report.cases:
+            return _usage_error(
+                "suite %s ran zero cases; raise its %s bound" % (name, _flag(_SUITES[name][1]))
+            )
+        reports.append(report)
     all_ok = all(r.ok for r in reports)
     if args.format == "json":
         payload = {"suites": [r.to_json() for r in reports], "ok": all_ok}

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .polynomial import UniPoly
 
@@ -23,7 +22,6 @@ __all__ = [
     "d_cayley",
     "polygon_diagonals",
     "diagonals_cross",
-    "ChordSet",
     "d_bruteforce",
     "KLTable",
     "c_recursion",
@@ -70,7 +68,8 @@ def c_closed(n: int, i: int) -> int:
     if 2 * i >= n - 1:
         return 0
     value, rem = divmod(binomial(n - i - 2, i) * binomial(n, i), i + 1)
-    assert value > 0 and rem == 0, "closed form must divide exactly at (n=%d, i=%d)" % (n, i)
+    if rem or value <= 0:
+        raise ArithmeticError("closed form must divide exactly at (n=%d, i=%d)" % (n, i))
     return value
 
 
@@ -82,7 +81,10 @@ def d_cayley(m: int, k: int) -> int:
     if k < 0:
         raise ValueError("need k >= 0, got k=%d" % k)
     value, rem = divmod(binomial(m - 3, k) * binomial(m + k - 1, k), k + 1)
-    assert rem == 0, "dissection closed form must divide exactly at (m=%d, k=%d)" % (m, k)
+    if rem:
+        raise ArithmeticError(
+            "dissection closed form must divide exactly at (m=%d, k=%d)" % (m, k)
+        )
     return value
 
 
@@ -105,29 +107,6 @@ def diagonals_cross(d, e) -> bool:
     """
     (a, b), (c, f) = d, e
     return a < c < b < f or c < a < f < b
-
-
-@dataclass(frozen=True)
-class ChordSet:
-    """A set of pairwise non-crossing diagonals of a convex m-gon."""
-
-    m: int
-    diagonals: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "diagonals", frozenset(tuple(sorted(d)) for d in self.diagonals)
-        )
-        allowed = set(polygon_diagonals(self.m))
-        for d in self.diagonals:
-            if d not in allowed:
-                raise ValueError("%r is not a diagonal of the %d-gon" % (d, self.m))
-        for d, e in combinations(sorted(self.diagonals), 2):
-            if diagonals_cross(d, e):
-                raise ValueError("diagonals %r and %r cross" % (d, e))
-
-    def __len__(self):
-        return len(self.diagonals)
 
 
 def d_bruteforce(m: int, k: int, cap: int = 12) -> int:

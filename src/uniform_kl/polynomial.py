@@ -1,29 +1,33 @@
-"""Dense univariate polynomials over the rationals.
+"""Dense univariate polynomials over the integers.
 
-Everything downstream (coefficient tables, generating series, dimension
-counts) is exact, so the shared polynomial type keeps Fraction coefficients
-and never rounds.
+Every polynomial the package builds (coefficient rows, generating-series
+coefficients, dissection counts) lies in Z[t], so the shared polynomial type
+keeps int coefficients, refuses any other coefficient type, and divides only
+when the quotient is again integral.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 __all__ = ["UniPoly"]
 
 
 class UniPoly:
-    """Polynomial in one variable t with Fraction coefficients.
+    """Polynomial in one variable t with int coefficients.
 
     Coefficients are stored densely, indexed by exponent, with trailing
     zeros trimmed; the zero polynomial has an empty coefficient tuple.
+    Any coefficient that is not an int (a float, a rational, a bool) raises
+    TypeError, so no inexact or rational value can enter the arithmetic.
     Instances are immutable by convention and hashable.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = list(coeffs)
+        for c in cs:
+            if type(c) is not int:
+                raise TypeError("coefficients must be int, got %s" % type(c).__name__)
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -50,11 +54,7 @@ class UniPoly:
     def coeff(self, exp):
         if 0 <= exp < len(self.coeffs):
             return self.coeffs[exp]
-        return Fraction(0)
-
-    def is_integral(self):
-        """True when every coefficient is an integer."""
-        return all(c.denominator == 1 for c in self.coeffs)
+        return 0
 
     def reverse(self, degree):
         """Coefficient reversal t**degree * p(1/t); requires deg p <= degree."""
@@ -62,13 +62,14 @@ class UniPoly:
             raise ValueError(
                 "cannot reverse a degree-%d polynomial at degree %d" % (self.degree, degree)
             )
-        out = [Fraction(0)] * (degree + 1)
+        out = [0] * (degree + 1)
         for e, c in enumerate(self.coeffs):
             out[degree - e] = c
         return UniPoly(out)
 
     def divexact(self, other):
-        """Exact quotient self / other; ArithmeticError if a remainder is left."""
+        """Exact quotient self / other in Z[t]; ArithmeticError if a remainder
+        is left or the quotient would need a non-integer coefficient."""
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
@@ -79,9 +80,11 @@ class UniPoly:
         rem = list(self.coeffs)
         if len(rem) - 1 < dd:
             raise ArithmeticError("%s is not divisible by %s" % (self, other))
-        quot = [Fraction(0)] * (len(rem) - dd)
+        quot = [0] * (len(rem) - dd)
         for pos in range(len(quot) - 1, -1, -1):
-            q = rem[pos + dd] / lead
+            q, r = divmod(rem[pos + dd], lead)
+            if r:
+                raise ArithmeticError("%s is not divisible by %s" % (self, other))
             quot[pos] = q
             if q:
                 for e, c in enumerate(div):
@@ -94,7 +97,7 @@ class UniPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = UniPoly((other,))
         if not isinstance(other, UniPoly):
             return NotImplemented
@@ -104,7 +107,7 @@ class UniPoly:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = UniPoly((other,))
         if not isinstance(other, UniPoly):
             return NotImplemented
@@ -117,7 +120,7 @@ class UniPoly:
         return UniPoly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = UniPoly((other,))
         if not isinstance(other, UniPoly):
             return NotImplemented
@@ -127,13 +130,13 @@ class UniPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return UniPoly([c * other for c in self.coeffs])
         if not isinstance(other, UniPoly):
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -163,12 +166,7 @@ class UniPoly:
             if e == 0:
                 body = str(mag)
             else:
-                if mag == 1:
-                    head = ""
-                elif mag.denominator == 1:
-                    head = str(mag)
-                else:
-                    head = "(%s)" % mag
+                head = "" if mag == 1 else str(mag)
                 body = head + ("t" if e == 1 else "t^%d" % e)
             if not pieces:
                 pieces.append(("-" if c < 0 else "") + body)

@@ -1,15 +1,15 @@
-"""Truncated formal power series in u with exact polynomial coefficients.
+"""Truncated formal power series in u with integer polynomial coefficients.
 
-The ring is Q[t][[u]] cut off at a fixed order.  It carries the two
+The ring is Z[t][[u]] cut off at a fixed order.  It carries the two
 generating series of interest: the dissection series in closed form
 (square root and exact division) and the series of Kazhdan-Lusztig
 polynomials, together with the substitution identity that relates a series
-to its coefficientwise degree reversal.
+to its coefficientwise degree reversal.  Inverse and square root stay in
+Z[t][[u]]: they accept only inputs whose result is integral there and raise
+otherwise.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .klnumbers import kl_poly
 from .polynomial import UniPoly
@@ -22,12 +22,11 @@ __all__ = [
     "check_functional_equation",
 ]
 
-_HALF = Fraction(1, 2)
-
 
 class USeries:
     """Power series in u truncated at order N: slots for u^0 .. u^(N-1),
-    each a UniPoly in t.  Operations require equal truncation orders."""
+    each a UniPoly in t with int coefficients; scalars given to the
+    constructor must be ints.  Operations require equal truncation orders."""
 
     __slots__ = ("order", "coeffs")
 
@@ -79,7 +78,7 @@ class USeries:
         return hash((self.order, self.coeffs))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, UniPoly)):
+        if isinstance(other, (int, UniPoly)):
             other = USeries.monomial(self.order, 0, other)
         if not isinstance(other, USeries):
             return NotImplemented
@@ -92,7 +91,7 @@ class USeries:
         return USeries(self.order, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, UniPoly)):
+        if isinstance(other, (int, UniPoly)):
             other = USeries.monomial(self.order, 0, other)
         if not isinstance(other, USeries):
             return NotImplemented
@@ -103,7 +102,7 @@ class USeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, UniPoly)):
+        if isinstance(other, (int, UniPoly)):
             return USeries(self.order, [c * other for c in self.coeffs])
         if not isinstance(other, USeries):
             return NotImplemented
@@ -121,13 +120,12 @@ class USeries:
     __rmul__ = __mul__
 
     def inverse(self) -> "USeries":
-        """Multiplicative inverse; the u^0 coefficient must be a nonzero
-        rational constant.  Uses the triangular recurrence
-        r_k = -(1/s_0) * sum_{j>=1} s_j r_{k-j}."""
-        c0 = self.coeffs[0]
-        if not c0 or c0.degree != 0:
-            raise ValueError("u^0 coefficient must be a nonzero rational constant")
-        lead = Fraction(1) / c0.coeff(0)
+        """Multiplicative inverse; the u^0 coefficient must be the constant
+        1 or -1, the units of Z[t].  Uses the triangular recurrence
+        r_k = -s_0 * sum_{j>=1} s_j r_{k-j}."""
+        lead = self.coeffs[0].coeff(0)
+        if self.coeffs[0].degree != 0 or lead not in (1, -1):
+            raise ValueError("u^0 coefficient must be the constant 1 or -1")
         out = [UniPoly((lead,))]
         for k in range(1, self.order):
             acc = UniPoly()
@@ -139,15 +137,24 @@ class USeries:
         return USeries(self.order, out)
 
     def sqrt(self) -> "USeries":
-        """Square root with constant term 1, by Newton iteration; the result
-        is verified by squaring before it is returned."""
+        """Square root with constant term 1, by the triangular recurrence
+        r_k = (s_k - sum_{0<j<k} r_j r_{k-j}) / 2.  Each halving is an exact
+        division, so ArithmeticError is raised when the root is not in
+        Z[t][[u]]; the result is verified by squaring before it is returned."""
         if self.coeffs[0] != UniPoly((1,)):
             raise ValueError("u^0 coefficient must be 1")
-        root = USeries.one(self.order)
-        for _ in range((self.order - 1).bit_length() + 1):
-            root = (root + self * root.inverse()) * _HALF
-        assert root * root == self, "square root iteration did not converge"
-        return root
+        two = UniPoly((2,))
+        root = [self.coeffs[0]]
+        for k in range(1, self.order):
+            acc = self.coeffs[k]
+            for j in range(1, k):
+                if root[j] and root[k - j]:
+                    acc = acc - root[j] * root[k - j]
+            root.append(acc.divexact(two))
+        out = USeries(self.order, root)
+        if out * out != self:
+            raise ArithmeticError("square root does not square back to the input")
+        return out
 
     def substitute(self, inner: "USeries") -> "USeries":
         """Compose, replacing u by `inner`; `inner` must have zero constant
@@ -192,16 +199,14 @@ def beckwith_f(order: int) -> USeries:
     counts of k-diagonal dissections of a convex (m+1)-gon by t-degree.
 
     Built as 2((2t+1)u + sqrt(1 - 2(2t+1)u + u^2) - 1) divided exactly by
-    1 - (2t+1)^2 = -4t - 4t^2; each u-coefficient division is checked and
-    the results must be integral.
+    1 - (2t+1)^2 = -4t - 4t^2.  Each u-coefficient division is exact in
+    Z[t], so a remainder or a non-integral count raises ArithmeticError.
     """
     a = UniPoly((1, 2))  # 2t + 1
     radicand = USeries(order, [UniPoly((1,)), -2 * a, UniPoly((1,))][:order])
     numerator = (USeries(order, [UniPoly(), a][:order]) + radicand.sqrt() - 1) * 2
     denominator = UniPoly((0, -4, -4))
-    out = USeries(order, [c.divexact(denominator) for c in numerator.coeffs])
-    assert all(c.is_integral() for c in out.coeffs), "dissection counts must be integers"
-    return out
+    return USeries(order, [c.divexact(denominator) for c in numerator.coeffs])
 
 
 def g_series(order: int) -> USeries:
@@ -215,7 +220,8 @@ def g_series(order: int) -> USeries:
             if c and e + i <= order:
                 lifted[e + i][i] = lifted[e + i].get(i, 0) + c
     shifted = [UniPoly.from_terms(d) for d in lifted]
-    assert not shifted[0], "rescaled dissection series must vanish at u^0"
+    if shifted[0]:
+        raise ArithmeticError("rescaled dissection series must vanish at u^0")
     return USeries(order, shifted[1:])
 
 

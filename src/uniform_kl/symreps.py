@@ -12,16 +12,12 @@ each step of the recursion collapse to a single irreducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 
 __all__ = [
     "Partition",
     "partitions_of",
     "hook_dimension",
-    "SkewShape",
-    "SkewComponent",
-    "skew_shape_components",
     "lr_coefficient",
     "VirtualRep",
     "induce_product",
@@ -111,90 +107,9 @@ def hook_dimension(lam) -> int:
         for c in range(row):
             hooks *= row - c + conj[c] - r - 1
     dim, rem = divmod(math.factorial(lam.size), hooks)
-    assert rem == 0, "hook product must divide the factorial"
+    if rem:
+        raise ArithmeticError("hook product must divide the factorial")
     return dim
-
-
-@dataclass(frozen=True)
-class SkewShape:
-    """Skew diagram outer/inner; the inner shape must fit in the outer."""
-
-    outer: Partition
-    inner: Partition
-
-    def __post_init__(self):
-        object.__setattr__(self, "outer", Partition(self.outer))
-        object.__setattr__(self, "inner", Partition(self.inner))
-        if not self.outer.contains(self.inner):
-            raise ValueError(
-                "inner %r does not fit inside outer %r"
-                % (tuple(self.inner), tuple(self.outer))
-            )
-
-    @property
-    def size(self) -> int:
-        return self.outer.size - self.inner.size
-
-    def cells(self):
-        """Cells (row, col) of the skew diagram, row-major."""
-        out = []
-        for r, row in enumerate(self.outer):
-            lo = self.inner[r] if r < len(self.inner) else 0
-            out.extend((r, c) for c in range(lo, row))
-        return tuple(out)
-
-
-@dataclass(frozen=True)
-class SkewComponent:
-    """One connected component of a skew diagram (edge adjacency)."""
-
-    cells: tuple
-
-    @property
-    def row_range(self):
-        rows = [r for r, _ in self.cells]
-        return min(rows), max(rows)
-
-    @property
-    def col_range(self):
-        cols = [c for _, c in self.cells]
-        return min(cols), max(cols)
-
-    @property
-    def height(self) -> int:
-        lo, hi = self.row_range
-        return hi - lo + 1
-
-    @property
-    def width(self) -> int:
-        lo, hi = self.col_range
-        return hi - lo + 1
-
-    @property
-    def is_rectangle(self) -> bool:
-        return len(self.cells) == self.height * self.width
-
-
-def skew_shape_components(shape: SkewShape):
-    """Connected components of the skew diagram under edge adjacency,
-    ordered by their topmost-leftmost cell."""
-    todo = set(shape.cells())
-    out = []
-    for seed in sorted(todo):
-        if seed not in todo:
-            continue
-        stack = [seed]
-        todo.discard(seed)
-        comp = []
-        while stack:
-            r, c = stack.pop()
-            comp.append((r, c))
-            for nbr in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                if nbr in todo:
-                    todo.discard(nbr)
-                    stack.append(nbr)
-        out.append(SkewComponent(tuple(sorted(comp))))
-    return out
 
 
 @cache

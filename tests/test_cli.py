@@ -172,3 +172,44 @@ def test_missing_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+BOUND_FLAGS = {
+    "closed-vs-recursion": "--n-max",
+    "chords": "--m-max",
+    "epw2": "--n-max",
+    "functional-eq": "--order",
+    "logconcave": "--n-max",
+    "main2": "--n-max",
+    "lemma-key": "--n-max",
+}
+# suites that already run at least one case at bound 2
+RUNS_AT_TWO = {"closed-vs-recursion", "epw2", "functional-eq", "main2"}
+
+
+@pytest.mark.parametrize("bound", ["-1", "0", "1", "2", None])
+@pytest.mark.parametrize("suite", list(BOUND_FLAGS))
+def test_verify_bounds(capsys, suite, bound):
+    argv = ["verify", suite]
+    if bound is not None:
+        argv += [BOUND_FLAGS[suite], bound]
+    code, out, err = run(capsys, *argv)
+    if bound is None or (bound == "2" and suite in RUNS_AT_TWO):
+        assert code == 0, (argv, err)
+        assert err == ""
+        assert "0 failed" in out
+    else:
+        # a domain error or a vacuous run is a usage error, never a pass
+        assert code == 2, (argv, out)
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "suite, flag", [("chords", "--n-max"), ("epw2", "--order"), ("functional-eq", "--m-max")]
+)
+def test_verify_rejects_unused_bound(capsys, suite, flag):
+    code, out, err = run(capsys, "verify", suite, flag, "5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: suite %s does not use %s\n" % (suite, flag)

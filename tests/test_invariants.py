@@ -1,0 +1,89 @@
+"""Every invariant check raises an exception, so it survives `python -O`.
+
+Most checks guard results that the mathematics guarantees, so they are
+triggered by patching the helper whose result they check.  All of them run
+in one subprocess with assertions stripped.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = r'''
+import sys
+from contextlib import ExitStack
+from unittest import mock
+
+import uniform_kl.klnumbers as klnumbers
+import uniform_kl.series as series
+import uniform_kl.symreps as symreps
+from uniform_kl.polynomial import UniPoly
+from uniform_kl.series import USeries
+
+if not sys.flags.optimize:
+    sys.exit("assertions are not stripped")
+
+
+def expect(name, func, *patches):
+    with ExitStack() as stack:
+        for patch in patches:
+            stack.enter_context(patch)
+        try:
+            func()
+        except ArithmeticError:
+            print(name)
+
+
+one = lambda *args: 1
+expect("c_closed", lambda: klnumbers.c_closed(5, 1), mock.patch.object(klnumbers, "binomial", one))
+expect("d_cayley", lambda: klnumbers.d_cayley(5, 1), mock.patch.object(klnumbers, "binomial", one))
+expect(
+    "hook_dimension",
+    lambda: symreps.hook_dimension((2, 1)),
+    mock.patch.object(symreps.math, "factorial", one),
+)
+expect("divexact", lambda: UniPoly((1,)).divexact(UniPoly((2,))))
+expect("sqrt halving", lambda: USeries(4, [1, 1]).sqrt())
+expect(
+    "sqrt squaring",
+    lambda: USeries(4, [1, -2, 1]).sqrt(),
+    mock.patch.object(USeries, "__mul__", lambda self, other: USeries.zero(self.order)),
+)
+expect(
+    "beckwith_f integrality",
+    lambda: series.beckwith_f(4),
+    mock.patch.object(USeries, "sqrt", lambda self: USeries.one(self.order)),
+)
+expect(
+    "g_series vanishing",
+    lambda: series.g_series(4),
+    mock.patch.object(series, "beckwith_f", lambda order: USeries.one(order)),
+)
+'''
+
+EXPECTED = [
+    "c_closed",
+    "d_cayley",
+    "hook_dimension",
+    "divexact",
+    "sqrt halving",
+    "sqrt squaring",
+    "beckwith_f integrality",
+    "g_series vanishing",
+]
+
+
+def test_invariant_checks_raise_under_optimize():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SCRIPT],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:-1] == EXPECTED, proc.stdout

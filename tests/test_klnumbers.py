@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from uniform_kl.klnumbers import (
-    ChordSet,
     KLTable,
     binomial,
     c_closed,
@@ -143,16 +142,6 @@ def test_crossing_predicate():
     assert not diagonals_cross((0, 2), (2, 4))  # shared endpoint
     assert not diagonals_cross((0, 2), (3, 5))  # disjoint arcs
     assert diagonals_cross((1, 4), (0, 2)) == diagonals_cross((0, 2), (1, 4))
-
-
-def test_chord_set_validation():
-    ChordSet(6, frozenset({(0, 2), (2, 4), (0, 4)}))
-    with pytest.raises(ValueError):
-        ChordSet(6, frozenset({(0, 2), (1, 3)}))  # crossing pair
-    with pytest.raises(ValueError):
-        ChordSet(6, frozenset({(0, 1)}))  # an edge, not a diagonal
-    with pytest.raises(ValueError):
-        ChordSet(6, frozenset({(0, 5)}))  # the wrap-around edge
 
 
 def test_d_bruteforce_against_filter_oracle():

@@ -1,10 +1,9 @@
 """Truncated series arithmetic and the generating-function identities.
 
-Inverse and square root are checked against literal geometric and binomial
+Inverse and square root are checked against literal geometric and Catalan
 expansions before the dissection series is trusted to use them.
 """
 
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -38,17 +37,10 @@ def geometric(order, ratio):
     return USeries(order, coeffs)
 
 
-def sqrt_binomial_series(order):
-    """Oracle: sqrt(1+u) via the fractional binomial coefficients
-    C(1/2, k) = prod_{j<k} (1/2 - j) / k!."""
-    coeffs = []
-    for k in range(order):
-        num = Fraction(1)
-        for j in range(k):
-            num *= Fraction(1, 2) - j
-        for j in range(1, k + 1):
-            num /= j
-        coeffs.append(UniPoly([num]))
+def sqrt_catalan_series(order):
+    """Oracle: sqrt(1-4u) = 1 - 2 * sum_{k>=1} Catalan(k-1) u^k, with
+    Catalan(n) = C(2n, n) / (n+1)."""
+    coeffs = [1] + [-2 * (comb(2 * k - 2, k - 1) // k) for k in range(1, order)]
     return USeries(order, coeffs)
 
 
@@ -109,10 +101,12 @@ def test_inverse_requires_constant_unit():
     with pytest.raises(ValueError):
         USeries(3, [0, 1]).inverse()
     with pytest.raises(ValueError):
-        USeries(3, [UniPoly([0, 1])]).inverse()  # t is not a rational constant
+        USeries(3, [UniPoly([0, 1])]).inverse()  # t is not a constant
+    with pytest.raises(ValueError):
+        USeries(3, [2]).inverse()  # 2 is not a unit of Z[t]
 
 
-@given(series, st.integers(1, 5))
+@given(series, st.sampled_from((1, -1)))
 def test_inverse_roundtrip(s, c0):
     s = s + USeries.monomial(ORDER, 0, c0 - s.coeff(0))
     assert s * s.inverse() == USeries.one(ORDER)
@@ -122,8 +116,13 @@ def test_inverse_roundtrip(s, c0):
 
 
 def test_sqrt_of_one_plus_u():
-    s = USeries(8, [1, 1])
-    assert s.sqrt() == sqrt_binomial_series(8)
+    # the u coefficient of sqrt(1+u) is 1/2, which is not in Z[t]
+    with pytest.raises(ArithmeticError):
+        USeries(8, [1, 1]).sqrt()
+
+
+def test_sqrt_of_one_minus_4u():
+    assert USeries(10, [1, -4]).sqrt() == sqrt_catalan_series(10)
 
 
 def test_sqrt_of_perfect_square():

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from uniform_kl.klnumbers import c_closed
 from uniform_kl.symreps import (
     Partition,
-    SkewShape,
     VirtualRep,
     exterior_rho,
     hook_dimension,
@@ -25,7 +24,6 @@ from uniform_kl.symreps import (
     lemma_key_expected,
     lr_coefficient,
     partitions_of,
-    skew_shape_components,
     verify_main2,
 )
 
@@ -182,48 +180,6 @@ def test_dimensions_sum_of_squares():
     # sum of dim^2 over partitions of n is n!
     for n in range(1, 9):
         assert sum(hook_dimension(lam) ** 2 for lam in partitions_of(n)) == factorial(n)
-
-
-# ------------------------------------------------------------- skew shapes
-
-
-def test_skew_shape_cells():
-    shape = SkewShape(Partition((3, 2)), Partition((2,)))
-    assert shape.cells() == ((0, 2), (1, 0), (1, 1))
-    assert shape.size == 3
-    with pytest.raises(ValueError):
-        SkewShape(Partition((2,)), Partition((3,)))
-
-
-def test_skew_components_simple():
-    shape = SkewShape(Partition((3, 2)), Partition((2,)))
-    comps = skew_shape_components(shape)
-    assert len(comps) == 2
-    assert comps[0].cells == ((0, 2),)
-    assert comps[1].cells == ((1, 0), (1, 1))
-    assert comps[0].height == 1 and comps[0].width == 1
-    assert comps[1].height == 1 and comps[1].width == 2
-    assert all(c.is_rectangle for c in comps)
-
-
-def test_skew_components_empty():
-    lam = Partition((3, 1))
-    assert skew_shape_components(SkewShape(lam, lam)) == []
-
-
-def test_skew_components_figure_instance():
-    # nu/lam for (n, i, p, q) = (20, 6, 8, 3): a 1x5 strip in row 0 and a
-    # 3x2 block in rows 4..6
-    nu = Partition((8, 2, 2, 2, 2, 2, 2))
-    lam = Partition((3, 2, 2, 2))
-    comps = skew_shape_components(SkewShape(nu, lam))
-    assert len(comps) == 2
-    strip, block = comps
-    assert strip.cells == tuple((0, c) for c in range(3, 8))
-    assert strip.height == 1 and strip.width == 5
-    assert block.cells == tuple((r, c) for r in range(4, 7) for c in range(2))
-    assert block.height == 3 and block.width == 2
-    assert strip.is_rectangle and block.is_rectangle
 
 
 # ---------------------------------------------------------------------- LR
