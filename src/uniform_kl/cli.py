@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from .klnumbers import (
+    D_BRUTEFORCE_MAX_M,
     KLTable,
     c_closed,
     c_recursion,
@@ -99,16 +100,18 @@ def suite_closed_vs_recursion(n_max: int = 25) -> VerificationReport:
 def suite_chords(m_max: int = 12) -> VerificationReport:
     """Dissection closed form against brute-force enumeration, and the
     coefficient identity c(n, i) = d(n-i+1, i)."""
+    if m_max > D_BRUTEFORCE_MAX_M:
+        raise ValueError("m_max=%d exceeds the enumeration cap %d" % (m_max, D_BRUTEFORCE_MAX_M))
     report = VerificationReport("chords")
     for m in range(3, m_max + 1):
         for k in range(m - 1):
-            report.add("m=%d k=%d" % (m, k), d_cayley(m, k), d_bruteforce(m, k, cap=m_max))
+            report.add("m=%d k=%d" % (m, k), d_cayley(m, k), d_bruteforce(m, k))
     for n in range(2, m_max + 1):
         for i in range(1, n - 1):
             report.add(
                 "c(%d,%d) = d(%d,%d)" % (n, i, n - i + 1, i),
                 c_closed(n, i),
-                d_bruteforce(n - i + 1, i, cap=m_max),
+                d_bruteforce(n - i + 1, i),
             )
     return report
 

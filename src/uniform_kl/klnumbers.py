@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 from .polynomial import UniPoly
 
+D_BRUTEFORCE_MAX_M = 12
+
 __all__ = [
     "binomial",
     "multinomial",
@@ -109,17 +111,17 @@ def diagonals_cross(d, e) -> bool:
     return a < c < b < f or c < a < f < b
 
 
-def d_bruteforce(m: int, k: int, cap: int = 12) -> int:
+def d_bruteforce(m: int, k: int) -> int:
     """Count k-element non-crossing diagonal sets by backtracking.
 
-    Serves as an enumeration oracle for d_cayley.  The polygon size is
-    capped (default 12) because the search walks every non-crossing set of
-    size up to k; raise the cap explicitly to go further.
+    Serves as an enumeration oracle for d_cayley.  The search walks every
+    non-crossing set of size up to k, so polygons are capped at
+    D_BRUTEFORCE_MAX_M = 12 sides, where one sweep over k takes about 1 s.
     """
     if m < 3:
         raise ValueError("need m >= 3, got m=%d" % m)
-    if m > cap:
-        raise ValueError("m=%d exceeds the enumeration cap %d" % (m, cap))
+    if m > D_BRUTEFORCE_MAX_M:
+        raise ValueError("m=%d exceeds the enumeration cap %d" % (m, D_BRUTEFORCE_MAX_M))
     if k < 0:
         return 0
     diags = polygon_diagonals(m)

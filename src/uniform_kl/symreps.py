@@ -2,7 +2,8 @@
 symmetric groups.
 
 Dimensions come from the hook-length formula, products of irreducibles
-from Littlewood-Richardson coefficients counted by tableau backtracking.
+from the Littlewood-Richardson rule as a sequence of horizontal strips, and
+single coefficients, for reference, from tableau backtracking.
 On top of that sits the stratification recursion that assembles the
 intersection-cohomology characters whose dimensions are the
 Kazhdan-Lusztig coefficients, plus the two-coefficient check that makes
@@ -119,23 +120,18 @@ def lr_coefficient(nu, mu, lam) -> int:
     word (right to left along each row, rows top to bottom) is a lattice
     word.
 
-    Cells are filled in reverse-reading order, so the lattice condition and
-    both semistandardness conditions prune the search one cell at a time.
+    The independent reference for induce_product: cells are filled in
+    reverse-reading order, so the lattice and semistandard conditions prune
+    the search one cell at a time.
     """
     nu, mu, lam = Partition(nu), Partition(mu), Partition(lam)
     if mu.size + lam.size != nu.size or not nu.contains(lam):
         return 0
-    if len(nu) - len(lam) > len(mu):
-        return 0  # a first-column strip needs distinct values 1..len(mu)
-    if nu and nu[0] - (lam[0] if lam else 0) > (mu[0] if mu else 0):
-        return 0  # the top skew row can hold nothing but 1s
     cells = []
     for r, row in enumerate(nu):
         lo = lam[r] if r < len(lam) else 0
         for c in range(row - 1, lo - 1, -1):
             cells.append((r, c))
-    if not cells:
-        return 1
     nvals = len(mu)
     grid = {}
     placed = [0] * (nvals + 1)
@@ -144,10 +140,8 @@ def lr_coefficient(nu, mu, lam) -> int:
         if pos == len(cells):
             return 1
         r, c = cells[pos]
-        right = grid.get((r, c + 1))
-        hi = right if right is not None else nvals
-        above = grid.get((r - 1, c))
-        lo = above + 1 if above is not None else 1
+        hi = grid.get((r, c + 1), nvals)
+        lo = grid.get((r - 1, c), 0) + 1
         total = 0
         for v in range(lo, hi + 1):
             if placed[v] >= mu[v - 1]:
@@ -259,30 +253,50 @@ class VirtualRep:
         return "VirtualRep<S_%d: %s>" % (self.n, self)
 
 
-@cache
-def _induce_pair(mu: Partition, lam: Partition):
-    """Decomposition of the induction of the outer pair (mu, lam) into
-    irreducibles of S_{|mu|+|lam|}; cached, so treat the dict as frozen."""
-    out = {}
-    for nu in partitions_of(mu.size + lam.size):
-        c = lr_coefficient(nu, mu, lam)
-        if c:
-            out[nu] = c
-    return out
+def _lr_states(mu, lam):
+    """The Littlewood-Richardson rule in iterated-Pieri form (Macdonald,
+    Symmetric Functions and Hall Polynomials, I.5 and I.9): lam grows by a
+    horizontal strip of mu[0] cells labelled 1, then of mu[1] cells labelled
+    2, and so on; on a hook mu this is Pieri's rule.  States are (shape,
+    cells the previous label put in each row) with multiplicities; those of
+    shape nu sum to c^nu_{mu,lam}.  The reverse reading word is a lattice
+    word exactly when, after each row r, the new label's cells in rows <= r
+    number at most the previous label's cells in rows < r.
+    """
+    states = {(tuple(lam), ()): 1}
+    for label, size in enumerate(mu):
+        grown = {}
+        for (shape, prev), mult in states.items():
+            rows = shape + (0,)
+            # (cells added per row so far, cells still to add, lattice slack)
+            partial = [((), size, size if label == 0 else 0)]
+            for r in range(len(rows)):
+                room = rows[r - 1] - rows[r] if r else size
+                back = prev[r] if r < len(prev) else 0
+                partial = [
+                    (added + (a,), left - a, slack - a + back)
+                    for added, left, slack in partial
+                    for a in range(min(left, room, slack) + 1)
+                ]
+            for added, left, _ in partial:
+                if not left:
+                    nu = tuple(x + a for x, a in zip(rows, added) if x + a)
+                    grown[nu, added] = grown.get((nu, added), 0) + mult
+        states = grown
+    return states
 
 
 def induce_product(left, right) -> VirtualRep:
-    """Product induced from the direct product of two symmetric groups,
-    decomposed by Littlewood-Richardson coefficients.  Arguments may be
-    partitions or virtual representations; the product is bilinear."""
+    """Product induced from the direct product of two symmetric groups, by
+    the Littlewood-Richardson rule.  Arguments may be partitions or virtual
+    representations; the product is bilinear."""
     lv = left if isinstance(left, VirtualRep) else VirtualRep.irreducible(left)
     rv = right if isinstance(right, VirtualRep) else VirtualRep.irreducible(right)
     out = {}
     for mu, cm in lv.terms.items():
         for lam, cl in rv.terms.items():
-            weight = cm * cl
-            for nu, c in _induce_pair(mu, lam).items():
-                out[nu] = out.get(nu, 0) + weight * c
+            for (nu, _), c in _lr_states(mu, lam).items():
+                out[nu] = out.get(nu, 0) + cm * cl * c
     return VirtualRep(lv.n + rv.n, out)
 
 

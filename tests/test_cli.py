@@ -205,6 +205,20 @@ def test_verify_bounds(capsys, suite, bound):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_verify_chords_refuses_bound_above_cap(capsys, monkeypatch):
+    import uniform_kl.cli as cli
+
+    def no_case(m, k):
+        raise AssertionError("a case ran before the bound was refused")
+
+    # d_bruteforce stops at 12-gons; the refusal must come before any case runs
+    monkeypatch.setattr(cli, "d_bruteforce", no_case)
+    code, out, err = run(capsys, "verify", "chords", "--m-max", "13")
+    assert code == 2
+    assert out == ""
+    assert err == "error: suite chords: m_max=13 exceeds the enumeration cap 12\n"
+
+
 @pytest.mark.parametrize(
     "suite, flag", [("chords", "--n-max"), ("epw2", "--order"), ("functional-eq", "--m-max")]
 )

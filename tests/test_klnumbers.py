@@ -160,7 +160,6 @@ def test_d_bruteforce_frozen_values():
 def test_d_bruteforce_cap():
     with pytest.raises(ValueError):
         d_bruteforce(13, 1)
-    assert d_bruteforce(13, 0, cap=13) == 1
     with pytest.raises(ValueError):
         d_bruteforce(2, 0)
 

@@ -1,8 +1,10 @@
 """Partitions, Littlewood-Richardson counting, and the character engine.
 
 hook_dimension is checked against a standard-tableau counting DP, and the
-LR backtracker against a filter over every possible filling, before either
-is trusted inside the induction products.
+LR backtracker against a filter over every possible filling.  The
+backtracker is then the reference for induce_product, which builds each
+product by the Littlewood-Richardson rule as a sequence of horizontal
+strips and never calls it.
 """
 
 from functools import lru_cache
@@ -12,6 +14,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from uniform_kl import symreps
 from uniform_kl.klnumbers import c_closed
 from uniform_kl.symreps import (
     Partition,
@@ -281,6 +284,52 @@ def test_induce_product_bilinear():
     assert lhs == rhs
 
 
+def assert_product_matches_lr(mu, lam):
+    """Compare every multiplicity of induce_product(mu, lam) with the LR
+    backtracker; returns the number of comparisons."""
+    out = induce_product(mu, lam)
+    shapes = partitions_of(mu.size + lam.size)
+    for nu in shapes:
+        assert out.multiplicity(nu) == lr_coefficient(nu, mu, lam), (nu, mu, lam)
+    return len(shapes)
+
+
+def test_induce_product_matches_lr_coefficient():
+    compared = 0
+    for total in range(10):
+        for musize in range(total + 1):
+            for mu in partitions_of(musize):
+                for lam in partitions_of(total - musize):
+                    compared += assert_product_matches_lr(mu, lam)
+    assert compared == 15830
+
+
+def test_induce_product_hook_times_ih_shape():
+    # the stratum terms of ih_rep: a hook [a, 1^b] times [x, 2^j]
+    compared = 0
+    for size in range(2, 13):
+        for hook_size in range(1, size):
+            hooks = [Partition((hook_size - b,) + (1,) * b) for b in range(hook_size)]
+            rest = size - hook_size
+            shapes = [Partition.maybe((rest - 2 * j,) + (2,) * j) for j in range(rest // 2 + 1)]
+            for mu in hooks:
+                for lam in filter(None, shapes):
+                    compared += assert_product_matches_lr(mu, lam)
+    assert compared == 23048
+
+
+def test_ih_rep_needs_no_lr_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the character engine searched partitions or LR tableaux")
+
+    monkeypatch.setattr(symreps, "lr_coefficient", refuse)
+    monkeypatch.setattr(symreps, "partitions_of", refuse)
+    ih_rep.cache_clear()
+    for n in range(2, 15):
+        for i in range((n - 2) // 2 + 1):
+            assert ih_rep(n, i).terms == {Partition((n - 2 * i,) + (2,) * i): 1}, (n, i)
+
+
 @settings(max_examples=40, deadline=None)
 @given(partitions_strategy, partitions_strategy)
 def test_induce_dimension_bilinearity(mu, lam):
@@ -331,7 +380,7 @@ def test_ih_rep_hand_expansion():
 
 
 def test_ih_rep_is_single_irreducible():
-    for n in range(2, 11):
+    for n in range(2, 23):
         for i in range((n - 2) // 2 + 1):
             target = Partition((n - 2 * i,) + (2,) * i)
             rep = ih_rep(n, i)
