@@ -20,7 +20,6 @@ from .klnumbers import (
     d_bruteforce,
     d_cayley,
     kl_poly,
-    multinomial,
 )
 from .series import (
     USeries,
@@ -56,7 +55,6 @@ __all__ = [
     "d_bruteforce",
     "d_cayley",
     "kl_poly",
-    "multinomial",
     "USeries",
     "beckwith_f",
     "check_functional_equation",

@@ -11,6 +11,7 @@ strings in JSON so nothing is lost to floating point.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -20,7 +21,6 @@ from .klnumbers import (
     D_BRUTEFORCE_MAX_M,
     KLTable,
     c_closed,
-    c_recursion,
     check_epw2,
     check_logconcave,
     d_bruteforce,
@@ -29,6 +29,10 @@ from .klnumbers import (
 )
 from .series import USeries, check_functional_equation, g_series, phi_from_table
 from .symreps import Partition, hook_dimension, ih_rep, lemma_key_check, lemma_key_expected, verify_main2
+
+# Encoder chunks joined per write: one write per chunk is slow, and joining
+# them all holds the whole report in memory.
+_JSON_BATCH = 4096
 
 
 @dataclass
@@ -93,7 +97,7 @@ def suite_closed_vs_recursion(n_max: int = 25) -> VerificationReport:
     table = KLTable(n_max)
     for n in range(2, n_max + 1):
         for i in range((n - 2) // 2 + 3):
-            report.add("n=%d i=%d" % (n, i), c_closed(n, i), c_recursion(n, i, table))
+            report.add("n=%d i=%d" % (n, i), c_closed(n, i), table.get(n, i))
     return report
 
 
@@ -215,6 +219,20 @@ def _table_rows(n_max: int):
     ]
 
 
+def _write_json(payload) -> None:
+    """Write payload as indented JSON plus a newline, the same bytes as
+    print(json.dumps(payload, indent=2)), without holding the whole text:
+    the encoder's chunks are joined and written in batches."""
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    write = sys.stdout.write
+    while True:
+        batch = list(itertools.islice(chunks, _JSON_BATCH))
+        if not batch:
+            break
+        write("".join(batch))
+    write("\n")
+
+
 def _flag(param: str) -> str:
     return "--" + param.replace("_", "-")
 
@@ -230,7 +248,7 @@ def cmd_table(args) -> int:
     rows = _table_rows(args.n_max)
     if args.format == "json":
         payload = [{"n": n, "coeffs": [str(c) for c in row]} for n, row in rows]
-        print(json.dumps(payload, indent=2))
+        _write_json(payload)
     elif args.format == "csv":
         for n, row in rows:
             print(",".join([str(n)] + [str(c) for c in row]))
@@ -246,7 +264,7 @@ def cmd_poly(args) -> int:
     poly = kl_poly(args.n)
     if args.format == "json":
         payload = {"n": args.n, "coeffs": [str(c) for c in poly.coeffs]}
-        print(json.dumps(payload, indent=2))
+        _write_json(payload)
     else:
         print(poly)
     return 0
@@ -268,7 +286,7 @@ def cmd_reps(args) -> int:
             ],
             "dimension": str(rep.dimension()),
         }
-        print(json.dumps(payload, indent=2))
+        _write_json(payload)
     elif not rep:
         print("0")
     else:
@@ -300,7 +318,7 @@ def cmd_verify(args) -> int:
     all_ok = all(r.ok for r in reports)
     if args.format == "json":
         payload = {"suites": [r.to_json() for r in reports], "ok": all_ok}
-        print(json.dumps(payload, indent=2))
+        _write_json(payload)
     else:
         for report in reports:
             print(

@@ -10,6 +10,7 @@ coefficient rows are checked by dedicated functions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +20,6 @@ D_BRUTEFORCE_MAX_M = 12
 
 __all__ = [
     "binomial",
-    "multinomial",
     "c_closed",
     "d_cayley",
     "polygon_diagonals",
@@ -41,21 +41,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def multinomial(n: int, parts) -> int:
-    """n! / prod(p!) over the given parts; zero when any part is negative."""
-    parts = tuple(parts)
-    if sum(parts) != n:
-        raise ValueError("parts %r do not sum to %d" % (parts, n))
-    if any(p < 0 for p in parts):
-        return 0
-    out = 1
-    rest = n
-    for p in parts:
-        out *= math.comb(rest, p)
-        rest -= p
-    return out
 
 
 def c_closed(n: int, i: int) -> int:
@@ -114,19 +99,26 @@ def diagonals_cross(d, e) -> bool:
 def d_bruteforce(m: int, k: int) -> int:
     """Count k-element non-crossing diagonal sets by backtracking.
 
-    Serves as an enumeration oracle for d_cayley.  The search walks every
-    non-crossing set of size up to k, so polygons are capped at
-    D_BRUTEFORCE_MAX_M = 12 sides, where one sweep over k takes about 1 s.
+    Serves as an enumeration oracle for d_cayley.  One cached walk visits
+    every non-crossing set of the m-gon and counts them by size, so
+    polygons are capped at D_BRUTEFORCE_MAX_M = 12 sides, where the walk
+    takes about 0.6 s.
     """
     if m < 3:
         raise ValueError("need m >= 3, got m=%d" % m)
     if m > D_BRUTEFORCE_MAX_M:
         raise ValueError("m=%d exceeds the enumeration cap %d" % (m, D_BRUTEFORCE_MAX_M))
-    if k < 0:
+    counts = _dissection_counts(m)
+    if k < 0 or k >= len(counts):
         return 0
+    return counts[k]
+
+
+@functools.cache
+def _dissection_counts(m: int):
+    """Tuple whose entry k is the number of k-element non-crossing diagonal
+    sets of the m-gon, from one walk over all of them."""
     diags = polygon_diagonals(m)
-    if k > len(diags):
-        return 0
     # blockers[x] has bit y set when diagonal y crosses diagonal x
     blockers = [0] * len(diags)
     for x in range(len(diags)):
@@ -134,17 +126,16 @@ def d_bruteforce(m: int, k: int) -> int:
             if diagonals_cross(diags[x], diags[y]):
                 blockers[x] |= 1 << y
                 blockers[y] |= 1 << x
+    counts = [0] * (len(diags) + 1)
 
-    def count(start, need, blocked):
-        if need == 0:
-            return 1
-        total = 0
-        for idx in range(start, len(diags) - need + 1):
+    def walk(start, size, blocked):
+        counts[size] += 1
+        for idx in range(start, len(diags)):
             if not (blocked >> idx) & 1:
-                total += count(idx + 1, need - 1, blocked | blockers[idx])
-        return total
+                walk(idx + 1, size + 1, blocked | blockers[idx])
 
-    return count(0, k, 0)
+    walk(0, 0, 0)
+    return tuple(counts)
 
 
 class KLTable:
@@ -177,6 +168,11 @@ def c_recursion(n: int, i: int, table: KLTable | None = None) -> int:
         + sum over 0 <= j < i, 2j+2 <= k <= i+j+1 of
           (-1)^(i+j+k+1) C(n; k, i+j-k+1, n-i-j-1) c(k, j)
 
+    With s = i+j+1 the multinomial weight factors as
+    C(n; k, s-k, n-s) = C(n, s) C(s, k), so each j contributes
+
+        (-1)^s C(n, s) sum over 2j+2 <= k <= s of (-1)^k C(s, k) c(k, j).
+
     Lower coefficients are read from `table` (built on demand when None);
     the table must cover every n' <= n.  Every lookup satisfies 2j <= k - 2,
     so the stored band is enough and the vanishing convention never hides a
@@ -197,11 +193,13 @@ def c_recursion(n: int, i: int, table: KLTable | None = None) -> int:
         table = KLTable(n)
     acc = (-1) ** i * binomial(n, i)
     for j in range(i):
-        for k in range(2 * j + 2, i + j + 2):
-            weight = multinomial(n, (k, i + j - k + 1, n - i - j - 1))
-            if weight == 0:
-                continue
-            acc += (-1) ** (i + j + k + 1) * weight * table.get(k, j)
+        s = i + j + 1
+        inner = 0
+        for k in range(2 * j + 2, s + 1):
+            term = math.comb(s, k) * table.get(k, j)
+            inner += -term if k & 1 else term
+        weighted = math.comb(n, s) * inner
+        acc += -weighted if s & 1 else weighted
     return acc
 
 
@@ -259,7 +257,8 @@ def check_logconcave(n: int):
     """
     if n < 2:
         raise ValueError("need n >= 2, got n=%d" % n)
+    row = [c_closed(n, i) for i in range(n // 2)]
     return [
-        LogConcaveTriple(n, i, c_closed(n, i - 1), c_closed(n, i), c_closed(n, i + 1))
+        LogConcaveTriple(n, i, row[i - 1], row[i], row[i + 1])
         for i in range(1, n // 2 - 1)
     ]

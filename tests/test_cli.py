@@ -40,6 +40,17 @@ def test_table_json_large_values_are_strings(capsys):
     assert json.dumps(payload, indent=2) + "\n" == out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "logconcave", "--n-max", "80"), ("table", "--n-max", "30")],
+)
+def test_json_output_matches_json_dumps(capsys, argv):
+    # the logconcave report is written in several batches of encoder chunks
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_table_csv(capsys):
     code, out, _ = run(capsys, "table", "--n-max", "7", "--format", "csv")
     assert code == 0

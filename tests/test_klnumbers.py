@@ -1,10 +1,11 @@
 """Coefficient routes and their oracles.
 
 The closed form is pinned to hand-frozen values, the recursion to the
-closed form, and the polygon backtracking to an independent filter over
-all diagonal subsets.
+closed form and to its literal multinomial-weighted double sum, and the
+polygon backtracking to an independent filter over all diagonal subsets.
 """
 
+import math
 from itertools import combinations
 
 import pytest
@@ -21,9 +22,9 @@ from uniform_kl.klnumbers import (
     d_cayley,
     diagonals_cross,
     kl_poly,
-    multinomial,
     polygon_diagonals,
 )
+from uniform_kl import cli, klnumbers
 from uniform_kl.polynomial import UniPoly
 
 
@@ -43,6 +44,21 @@ def factorial(n):
     out = 1
     for v in range(2, n + 1):
         out *= v
+    return out
+
+
+def multinomial(n, parts):
+    """n! / prod(p!) over the given parts; zero when any part is negative."""
+    parts = tuple(parts)
+    if sum(parts) != n:
+        raise ValueError("parts %r do not sum to %d" % (parts, n))
+    if any(p < 0 for p in parts):
+        return 0
+    out = 1
+    rest = n
+    for p in parts:
+        out *= math.comb(rest, p)
+        rest -= p
     return out
 
 
@@ -157,6 +173,16 @@ def test_d_bruteforce_frozen_values():
     assert d_bruteforce(5, -1) == 0
 
 
+def test_d_bruteforce_walks_each_polygon_once():
+    klnumbers._dissection_counts.cache_clear()
+    cli.suite_chords(12)
+    info = klnumbers._dissection_counts.cache_info()
+    assert (info.misses, info.hits) == (10, 110)
+    for m in range(3, 13):
+        ks = range(m - 2)
+        assert sum(d_bruteforce(m, k) for k in ks) == sum(d_cayley(m, k) for k in ks), m
+
+
 def test_d_bruteforce_cap():
     with pytest.raises(ValueError):
         d_bruteforce(13, 1)
@@ -179,6 +205,13 @@ def test_c_recursion_matches_closed_form():
     for n in range(2, 16):
         for i in range(n + 2):
             assert c_recursion(n, i, table) == c_closed(n, i), (n, i)
+
+
+def test_kl_table_matches_closed_form():
+    table = KLTable(120)
+    for n in range(2, 121):
+        for i in range(n + 2):
+            assert table.get(n, i) == c_closed(n, i), (n, i)
 
 
 def test_literal_double_sum_vanishes_past_threshold():
