@@ -15,7 +15,8 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
+from json.encoder import encode_basestring_ascii as _quote
 
 from .klnumbers import (
     D_BRUTEFORCE_MAX_M,
@@ -35,29 +36,24 @@ from .symreps import Partition, hook_dimension, ih_rep, lemma_key_check, lemma_k
 _JSON_BATCH = 4096
 
 
-@dataclass
-class CaseRecord:
-    """One verified statement: the inputs, both sides, and the verdict."""
+class CaseRecord(namedtuple("CaseRecord", "inputs expected actual passed")):
+    """One verified statement: the inputs, both sides as computed, and the
+    verdict.  The sides are rendered with str() only when written."""
 
-    inputs: str
-    expected: str
-    actual: str
-    passed: bool
+    __slots__ = ()
 
 
-@dataclass
 class VerificationReport:
     """Per-case records for one suite, with summary counts derived from
     the records so the two can never disagree."""
 
-    suite: str
-    cases: list = field(default_factory=list)
-    wall_time: float = 0.0
+    def __init__(self, suite: str):
+        self.suite = suite
+        self.cases = []
+        self.wall_time = 0.0
 
     def add(self, inputs, expected, actual):
-        self.cases.append(
-            CaseRecord(str(inputs), str(expected), str(actual), expected == actual)
-        )
+        self.cases.append(CaseRecord(inputs, expected, actual, expected == actual))
 
     @property
     def n_passed(self) -> int:
@@ -70,24 +66,6 @@ class VerificationReport:
     @property
     def ok(self) -> bool:
         return self.n_failed == 0
-
-    def to_json(self):
-        return {
-            "suite": self.suite,
-            "cases": [
-                {
-                    "inputs": c.inputs,
-                    "expected": c.expected,
-                    "actual": c.actual,
-                    "passed": c.passed,
-                }
-                for c in self.cases
-            ],
-            "passed": self.n_passed,
-            "failed": self.n_failed,
-            "wall_time_s": round(self.wall_time, 3),
-            "ok": self.ok,
-        }
 
 
 def suite_closed_vs_recursion(n_max: int = 25) -> VerificationReport:
@@ -150,12 +128,7 @@ def suite_logconcave(n_max: int = 60) -> VerificationReport:
     report = VerificationReport("logconcave")
     for n in range(2, n_max + 1):
         for t in check_logconcave(n):
-            report.add(
-                "n=%d i=%d: %d^2 vs %d*%d (margin %d)"
-                % (t.n, t.i, t.middle, t.lower, t.upper, t.margin),
-                True,
-                t.strict,
-            )
+            report.add(t, True, t.strict)
     return report
 
 
@@ -231,6 +204,39 @@ def _write_json(payload) -> None:
             break
         write("".join(batch))
     write("\n")
+
+
+# The verify report in the layout of json.dumps(payload, indent=2).
+_VERIFY_SUITE_HEAD = '%s    {\n      "suite": %s,\n      "cases": [\n'
+_VERIFY_CASE = (
+    '%s        {\n          "inputs": %s,\n          "expected": %s,\n'
+    '          "actual": %s,\n          "passed": %s\n        }'
+)
+_VERIFY_SUITE_TAIL = (
+    '\n      ],\n      "passed": %d,\n      "failed": %d,\n'
+    '      "wall_time_s": %r,\n      "ok": %s\n    }'
+)
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _write_verify_json(reports, all_ok) -> None:
+    """Write {"suites": [...], "ok": all_ok} one case at a time, the same
+    bytes as print(json.dumps(payload, indent=2)).  No report is empty:
+    cmd_verify refuses a suite that ran zero cases."""
+    write = sys.stdout.write
+    write('{\n  "suites": [\n')
+    for index, report in enumerate(reports):
+        write(_VERIFY_SUITE_HEAD % (",\n" if index else "", _quote(report.suite)))
+        sep = ""
+        for c in report.cases:
+            sides = _quote(str(c.inputs)), _quote(str(c.expected)), _quote(str(c.actual))
+            write(_VERIFY_CASE % (sep, *sides, _JSON_BOOL[c.passed]))
+            sep = ",\n"
+        passed = report.n_passed
+        failed = len(report.cases) - passed
+        wall = round(report.wall_time, 3)
+        write(_VERIFY_SUITE_TAIL % (passed, failed, wall, _JSON_BOOL[not failed]))
+    write('\n  ],\n  "ok": %s\n}\n' % _JSON_BOOL[all_ok])
 
 
 def _flag(param: str) -> str:
@@ -317,8 +323,7 @@ def cmd_verify(args) -> int:
         reports.append(report)
     all_ok = all(r.ok for r in reports)
     if args.format == "json":
-        payload = {"suites": [r.to_json() for r in reports], "ok": all_ok}
-        _write_json(payload)
+        _write_verify_json(reports, all_ok)
     else:
         for report in reports:
             print(

@@ -1,6 +1,10 @@
 """Command-line behavior: rendering, JSON round-trips, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,13 +46,57 @@ def test_table_json_large_values_are_strings(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [("verify", "logconcave", "--n-max", "80"), ("table", "--n-max", "30")],
+    [
+        ("verify", "logconcave", "--n-max", "80"),
+        ("table", "--n-max", "30"),
+        ("verify", "closed-vs-recursion", "--n-max", "10"),
+        ("verify", "chords", "--m-max", "6"),
+        ("verify", "epw2", "--n-max", "6"),
+        ("verify", "functional-eq", "--order", "4"),
+        ("verify", "main2", "--n-max", "6"),
+        ("verify", "lemma-key", "--n-max", "6"),
+        ("verify", "all"),
+    ],
 )
 def test_json_output_matches_json_dumps(capsys, argv):
-    # the logconcave report is written in several batches of encoder chunks
+    # table output is written in batches of encoder chunks, and verify
+    # reports by their own writer one case at a time
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_verify_json_failing_report_and_escapes(capsys, monkeypatch):
+    import uniform_kl.cli as cli
+
+    awkward = 'quote " backslash \\ newline \n accent \u00e9 snowman \u2603'
+
+    def broken_suite(n_max=5):
+        report = cli.VerificationReport("closed-vs-recursion")
+        report.add(awkward, 1, 1)
+        report.add("n=3 i=0", 1, 2)
+        return report
+
+    monkeypatch.setitem(cli._SUITES, "closed-vs-recursion", (broken_suite, "n_max"))
+    code, out, _ = run(capsys, "verify", "closed-vs-recursion", "--format", "json")
+    assert code == 1
+    assert out.isascii()
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    suite = payload["suites"][0]
+    assert (suite["passed"], suite["failed"], suite["ok"]) == (1, 1, False)
+    assert suite["cases"][0] == {
+        "inputs": awkward, "expected": "1", "actual": "1", "passed": True
+    }
+    assert suite["cases"][1]["passed"] is False
+
+
+def test_cli_import_skips_dataclasses():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = "import sys, uniform_kl.cli; sys.exit('dataclasses' in sys.modules)"
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
 def test_table_csv(capsys):

@@ -214,24 +214,37 @@ def test_kl_table_matches_closed_form():
             assert table.get(n, i) == c_closed(n, i), (n, i)
 
 
+def literal_double_sum(n, i, table):
+    """The recursion's double sum with its multinomial weights, term by term."""
+    acc = (-1) ** i * binomial(n, i)
+    for j in range(i):
+        for k in range(2 * j + 2, i + j + 2):
+            w = multinomial(n, (k, i + j - k + 1, n - i - j - 1))
+            if w:
+                acc += (-1) ** (i + j + k + 1) * w * table.get(k, j)
+    return acc
+
+
 def test_literal_double_sum_vanishes_past_threshold():
     # The vanishing band below i = n-1 is where the raw double sum itself
     # cancels to zero; the implementation must agree there without the
     # short-circuit doing the work for it.
     table = KLTable(12)
-
-    def literal(n, i):
-        acc = (-1) ** i * binomial(n, i)
-        for j in range(i):
-            for k in range(2 * j + 2, i + j + 2):
-                w = multinomial(n, (k, i + j - k + 1, n - i - j - 1))
-                if w:
-                    acc += (-1) ** (i + j + k + 1) * w * table.get(k, j)
-        return acc
-
     for n in range(2, 13):
         for i in range(n - 1):
-            assert literal(n, i) == c_closed(n, i), (n, i)
+            assert literal_double_sum(n, i, table) == c_closed(n, i), (n, i)
+
+
+def test_grouped_recursion_matches_literal_double_sum():
+    table = KLTable(30)
+    for n in range(2, 31):
+        for i in range(n - 1):
+            assert c_recursion(n, i, table) == literal_double_sum(n, i, table), (n, i)
+
+
+def test_kl_table_keeps_one_inner_sum_per_pair():
+    # one entry per (s, j) = (i + j + 1, j) with 0 <= j < i <= 49: C(50, 2)
+    assert len(KLTable(100).sums) == 1225
 
 
 def test_kl_table():
@@ -297,6 +310,7 @@ def test_logconcave_frozen_triples():
         (2, 27, 120, 84),
     ]
     assert triples[0].margin == 729 - 120
+    assert str(triples[0]) == "n=9 i=1: 27^2 vs 1*120 (margin 609)"
     assert triples[1].margin == 14400 - 2268
     assert all(t.strict for t in triples)
 
