@@ -10,14 +10,9 @@ strings in JSON so nothing is lost to floating point.
 
 from __future__ import annotations
 
-import argparse
-import itertools
-import json
-import sys
-import time
-from collections import namedtuple
-from json.encoder import encode_basestring_ascii as _quote
-
+# The package modules are imported before argparse and json: a run without
+# cached bytecode compiles them, and compiling them while those are loaded
+# raises the peak RSS of every CLI call.
 from .klnumbers import (
     D_BRUTEFORCE_MAX_M,
     KLTable,
@@ -30,6 +25,14 @@ from .klnumbers import (
 )
 from .series import USeries, check_functional_equation, g_series, phi_from_table
 from .symreps import Partition, hook_dimension, ih_rep, lemma_key_check, lemma_key_expected, verify_main2
+
+import argparse
+import itertools
+import json
+import sys
+import time
+from collections import namedtuple
+from json.encoder import encode_basestring_ascii as _quote
 
 # Encoder chunks joined per write: one write per chunk is slow, and joining
 # them all holds the whole report in memory.
@@ -111,7 +114,7 @@ def suite_functional_eq(order: int = 12) -> VerificationReport:
     """Substitution identity residual, and the dissection series against the
     table series, both at the given truncation order."""
     report = VerificationReport("functional-eq")
-    zero = USeries.zero(order)
+    zero = USeries(order)
     report.add("residual at order %d" % order, zero, check_functional_equation(order))
     g = g_series(order)
     report.add("g = phi at order %d" % order, phi_from_table(order), g)
@@ -185,13 +188,6 @@ def run_suite(name: str, n_max=None, m_max=None, order=None) -> VerificationRepo
     return report
 
 
-def _table_rows(n_max: int):
-    return [
-        (n, [c_closed(n, i) for i in range((n - 2) // 2 + 1)])
-        for n in range(2, n_max + 1)
-    ]
-
-
 def _write_json(payload) -> None:
     """Write payload as indented JSON plus a newline, the same bytes as
     print(json.dumps(payload, indent=2)), without holding the whole text:
@@ -251,7 +247,7 @@ def _usage_error(message: str) -> int:
 def cmd_table(args) -> int:
     if args.n_max < 2:
         return _usage_error("--n-max must be at least 2")
-    rows = _table_rows(args.n_max)
+    rows = [(n, kl_poly(n).coeffs) for n in range(2, args.n_max + 1)]
     if args.format == "json":
         payload = [{"n": n, "coeffs": [str(c) for c in row]} for n, row in rows]
         _write_json(payload)

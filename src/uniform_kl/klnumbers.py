@@ -239,10 +239,12 @@ def check_epw2(n: int):
     rhs = UniPoly()
     for j in range(n):
         rhs += (-1) ** j * binomial(n, j) * (UniPoly.monomial(n - j - 1) - 1)
+    # Horner in t - 1: one product by the linear factor per k
     t_minus_1 = UniPoly((-1, 1))
+    twisted = UniPoly()
     for k in range(2, n + 1):
-        rhs += binomial(n, k) * (t_minus_1 ** (n - k)) * kl_poly(k)
-    residual = lhs - rhs
+        twisted = twisted * t_minus_1 + binomial(n, k) * kl_poly(k)
+    residual = lhs - (rhs + twisted)
     return (not residual, residual)
 
 

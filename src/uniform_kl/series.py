@@ -41,10 +41,6 @@ class USeries:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def zero(cls, order):
-        return cls(order)
-
-    @classmethod
     def one(cls, order):
         return cls(order, (1,))
 
@@ -73,9 +69,6 @@ class USeries:
         if not isinstance(other, USeries):
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
 
     def __add__(self, other):
         if isinstance(other, (int, UniPoly)):
@@ -162,7 +155,7 @@ class USeries:
         self._same_order(inner)
         if inner.coeffs[0]:
             raise ValueError("inner series must have zero u^0 coefficient")
-        out = USeries.zero(self.order)
+        out = USeries(self.order)
         for c in reversed(self.coeffs):
             out = out * inner
             if c:

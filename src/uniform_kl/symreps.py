@@ -162,7 +162,8 @@ class VirtualRep:
     """Integer linear combination of irreducible characters of a fixed S_n.
 
     Multiplicities may be negative; zero multiplicities are dropped, so the
-    zero element has an empty term map.
+    zero element has an empty term map.  Keys that are not yet Partition
+    objects are validated as partitions; every key must have size n.
     """
 
     __slots__ = ("n", "terms")
@@ -174,7 +175,8 @@ class VirtualRep:
         for lam, mult in (terms or {}).items():
             if not mult:
                 continue
-            lam = Partition(lam)
+            if not isinstance(lam, Partition):
+                lam = Partition(lam)
             if lam.size != n:
                 raise ValueError(
                     "partition %r has size %d, expected %d" % (tuple(lam), lam.size, n)
@@ -182,10 +184,6 @@ class VirtualRep:
             clean[lam] = mult
         self.n = n
         self.terms = clean
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
 
     @classmethod
     def irreducible(cls, lam):
@@ -339,7 +337,7 @@ def ih_rep(n: int, i: int) -> VirtualRep:
     if i < 0:
         raise ValueError("need i >= 0, got %d" % i)
     if 2 * i >= n - 1:
-        return VirtualRep.zero(n)
+        return VirtualRep(n)
     total = (-1) ** i * exterior_rho(n, i)
     for p in range(1, n - 1):
         for q in range(min(i, 2 * i - p) + 1):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -286,3 +287,41 @@ def test_verify_rejects_unused_bound(capsys, suite, flag):
     assert code == 2
     assert out == ""
     assert err == "error: suite %s does not use %s\n" % (suite, flag)
+
+
+# ------------------------------------------------------------------ README
+
+
+def readme_commands():
+    """(argv, comment) for each line of the README's Command line block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "uniform-kl", line
+        commands.append((argv[1:], comment.strip()))
+    return commands
+
+
+README_COMMANDS = readme_commands()
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv, _ in README_COMMANDS], ids=[" ".join(a) for a, _ in README_COMMANDS]
+)
+def test_readme_command_runs(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out
+
+
+def test_readme_commented_outputs(capsys):
+    comments = {tuple(argv): comment for argv, comment in README_COMMANDS}
+    for argv, expected in [
+        (("poly", "--n", "9"), "1 + 27t + 120t^2 + 84t^3"),
+        (("reps", "--n", "8", "--i", "3"), "V[2,2,2,2] (dim 14)"),
+    ]:
+        assert comments[argv] == expected
+        assert run(capsys, *argv) == (0, expected + "\n", "")

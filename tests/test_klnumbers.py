@@ -300,6 +300,20 @@ def test_check_epw2_range():
         assert ok and not residual, (n, residual)
 
 
+@pytest.mark.parametrize("n, k, e", [(4, 2, 0), (7, 3, 0), (10, 6, 2), (12, 9, 1), (12, 11, 4)])
+def test_check_epw2_detects_one_coefficient_off(monkeypatch, n, k, e):
+    # P_k with its t^e coefficient one too high shifts the twisted sum by
+    # exactly C(n, k) (t-1)^(n-k) t^e
+    real = klnumbers.kl_poly
+    monkeypatch.setattr(
+        klnumbers, "kl_poly", lambda m: real(m) + UniPoly.monomial(e) if m == k else real(m)
+    )
+    assert e <= real(k).degree
+    ok, residual = check_epw2(n)
+    assert not ok and residual
+    assert residual == -binomial(n, k) * UniPoly((-1, 1)) ** (n - k) * UniPoly.monomial(e)
+
+
 # ------------------------------------------------------------ logconcave
 
 

@@ -243,7 +243,7 @@ def test_virtual_rep_algebra():
     s = a + b
     assert s.multiplicity(Partition((2, 1))) == 1
     assert s - a == b
-    assert (a - a) == VirtualRep.zero(3)
+    assert (a - a) == VirtualRep(3)
     assert not (a - a)
     assert (-a).multiplicity(Partition((2, 1))) == -1
     assert (2 * a).dimension() == 2 * a.dimension()
@@ -253,8 +253,25 @@ def test_virtual_rep_algebra():
         VirtualRep(3, {Partition((2, 2)): 1})
 
 
+def test_virtual_rep_validates_plain_keys_and_trusts_partitions(monkeypatch):
+    with pytest.raises(ValueError):
+        VirtualRep(3, {(1, 2): 1})
+    with pytest.raises(ValueError):
+        VirtualRep(3, {(2, 2): 1})
+    a = VirtualRep(4, {(3, 1): 1, (2, 1, 1): -1})
+    b = VirtualRep(4, {(2, 2): 2, (3, 1): 1})
+    checked = []
+    real = symreps._weakly_decreasing_positive
+    monkeypatch.setattr(
+        symreps, "_weakly_decreasing_positive", lambda parts: checked.append(parts) or real(parts)
+    )
+    total = a + b
+    assert checked == []  # the keys are Partition objects already
+    assert total.terms == {(3, 1): 2, (2, 2): 2, (2, 1, 1): -1}
+
+
 def test_virtual_rep_rendering():
-    zero = VirtualRep.zero(4)
+    zero = VirtualRep(4)
     assert str(zero) == "0"
     r = VirtualRep(4, {Partition((4,)): 1, Partition((3, 1)): -2})
     assert str(r) == "V[4] - 2*V[3,1]"
@@ -347,8 +364,8 @@ def test_exterior_rho_frozen():
         4, {Partition((4,)): 1, Partition((3, 1)): 1}
     )
     assert exterior_rho(2, 2) == VirtualRep.irreducible(Partition((1, 1)))
-    assert exterior_rho(3, -1) == VirtualRep.zero(3)
-    assert exterior_rho(3, 4) == VirtualRep.zero(3)
+    assert exterior_rho(3, -1) == VirtualRep(3)
+    assert exterior_rho(3, 4) == VirtualRep(3)
     with pytest.raises(ValueError):
         exterior_rho(0, 0)
 
@@ -365,8 +382,8 @@ def test_exterior_rho_dimensions():
 
 def test_ih_rep_base_and_vanishing():
     assert ih_rep(2, 0) == VirtualRep.irreducible(Partition((2,)))
-    assert ih_rep(5, 2) == VirtualRep.zero(5)
-    assert ih_rep(3, 1) == VirtualRep.zero(3)
+    assert ih_rep(5, 2) == VirtualRep(5)
+    assert ih_rep(3, 1) == VirtualRep(3)
     with pytest.raises(ValueError):
         ih_rep(1, 0)
     with pytest.raises(ValueError):
