@@ -6,9 +6,68 @@ closed form, a bottom-up double-sum recursion, enumeration of non-crossing
 diagonal sets of a convex polygon, and dimensions of symmetric-group
 characters assembled by a stratification recursion.  Generating-series
 identities tie the routes together.
-
-The API is imported from the submodules: polynomial, klnumbers, series and
-symreps; cli is the command line.
 """
 
+from .polynomial import UniPoly
+from .klnumbers import (
+    KLTable,
+    LogConcaveTriple,
+    binomial,
+    c_closed,
+    c_recursion,
+    check_epw2,
+    check_logconcave,
+    d_bruteforce,
+    d_cayley,
+    kl_poly,
+)
+from .series import (
+    USeries,
+    beckwith_f,
+    check_functional_equation,
+    g_series,
+    phi_from_table,
+)
+from .symreps import (
+    Partition,
+    VirtualRep,
+    exterior_rho,
+    hook_dimension,
+    ih_rep,
+    induce_product,
+    lemma_key_check,
+    lemma_key_expected,
+    lr_coefficient,
+    verify_main2,
+)
+
 __version__ = "0.1.0"
+
+__all__ = [
+    "UniPoly",
+    "KLTable",
+    "LogConcaveTriple",
+    "binomial",
+    "c_closed",
+    "c_recursion",
+    "check_epw2",
+    "check_logconcave",
+    "d_bruteforce",
+    "d_cayley",
+    "kl_poly",
+    "USeries",
+    "beckwith_f",
+    "check_functional_equation",
+    "g_series",
+    "phi_from_table",
+    "Partition",
+    "VirtualRep",
+    "exterior_rho",
+    "hook_dimension",
+    "ih_rep",
+    "induce_product",
+    "lemma_key_check",
+    "lemma_key_expected",
+    "lr_coefficient",
+    "verify_main2",
+]

@@ -10,9 +10,14 @@ strings in JSON so nothing is lost to floating point.
 
 from __future__ import annotations
 
-# The package modules are imported before argparse and json: a run without
-# cached bytecode compiles them, and compiling them while those are loaded
-# raises the peak RSS of every CLI call.
+import argparse
+import itertools
+import json
+import sys
+import time
+from collections import namedtuple
+from json.encoder import encode_basestring_ascii as _quote
+
 from .klnumbers import (
     D_BRUTEFORCE_MAX_M,
     KLTable,
@@ -25,14 +30,6 @@ from .klnumbers import (
 )
 from .series import USeries, check_functional_equation, g_series, phi_from_table
 from .symreps import Partition, hook_dimension, ih_rep, lemma_key_check, lemma_key_expected, verify_main2
-
-import argparse
-import itertools
-import json
-import sys
-import time
-from collections import namedtuple
-from json.encoder import encode_basestring_ascii as _quote
 
 # Encoder chunks joined per write: one write per chunk is slow, and joining
 # them all holds the whole report in memory.
