@@ -12,7 +12,6 @@ from .polynomial import UniPoly
 from .klnumbers import (
     KLTable,
     LogConcaveTriple,
-    binomial,
     c_closed,
     c_recursion,
     check_epw2,
@@ -47,7 +46,6 @@ __all__ = [
     "UniPoly",
     "KLTable",
     "LogConcaveTriple",
-    "binomial",
     "c_closed",
     "c_recursion",
     "check_epw2",

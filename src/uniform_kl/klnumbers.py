@@ -19,7 +19,6 @@ from .polynomial import UniPoly
 D_BRUTEFORCE_MAX_M = 12
 
 __all__ = [
-    "binomial",
     "c_closed",
     "d_cayley",
     "polygon_diagonals",
@@ -34,15 +33,6 @@ __all__ = [
 ]
 
 
-def binomial(n: int, k: int) -> int:
-    """C(n, k) as an exact integer; zero outside 0 <= k <= n, n < 0 rejected."""
-    if n < 0:
-        raise ValueError("binomial needs n >= 0, got n=%d" % n)
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def c_closed(n: int, i: int) -> int:
     """Coefficient of t^i: binom(n-i-2, i) * binom(n, i) / (i+1), exactly.
 
@@ -54,7 +44,7 @@ def c_closed(n: int, i: int) -> int:
         raise ValueError("need i >= 0, got i=%d" % i)
     if 2 * i >= n - 1:
         return 0
-    value, rem = divmod(binomial(n - i - 2, i) * binomial(n, i), i + 1)
+    value, rem = divmod(math.comb(n - i - 2, i) * math.comb(n, i), i + 1)
     if rem or value <= 0:
         raise ArithmeticError("closed form must divide exactly at (n=%d, i=%d)" % (n, i))
     return value
@@ -67,7 +57,7 @@ def d_cayley(m: int, k: int) -> int:
         raise ValueError("need m >= 3, got m=%d" % m)
     if k < 0:
         raise ValueError("need k >= 0, got k=%d" % k)
-    value, rem = divmod(binomial(m - 3, k) * binomial(m + k - 1, k), k + 1)
+    value, rem = divmod(math.comb(m - 3, k) * math.comb(m + k - 1, k), k + 1)
     if rem:
         raise ArithmeticError(
             "dissection closed form must divide exactly at (m=%d, k=%d)" % (m, k)
@@ -178,7 +168,7 @@ class KLTable:
         return value
 
 
-def c_recursion(n: int, i: int, table: KLTable | None = None) -> int:
+def c_recursion(n: int, i: int, table: KLTable) -> int:
     """Evaluate the inclusion-exclusion double sum for the coefficient (n, i):
 
         (-1)^i C(n, i)
@@ -193,10 +183,10 @@ def c_recursion(n: int, i: int, table: KLTable | None = None) -> int:
     The inner sum depends on (s, j) alone, so every row n > s shares it:
     KLTable.alternating_sum computes it once per table.
 
-    Lower coefficients are read from `table` (built on demand when None);
-    the table must cover every n' <= n.  Every lookup satisfies 2j <= k - 2,
-    so the stored band is enough and the vanishing convention never hides a
-    value the sum actually needs.
+    Lower coefficients are read from `table`, which must hold every row
+    below n.  Every lookup satisfies 2j <= k - 2, so the stored band is
+    enough and the vanishing convention never hides a value the sum
+    actually needs.
 
     The vanishing rule is applied to the queried cell as well: the double
     sum characterizes the coefficients only below the vanishing threshold
@@ -209,9 +199,7 @@ def c_recursion(n: int, i: int, table: KLTable | None = None) -> int:
         raise ValueError("need i >= 0, got i=%d" % i)
     if 2 * i >= n - 1:
         return 0
-    if table is None:
-        table = KLTable(n)
-    acc = (-1) ** i * binomial(n, i)
+    acc = (-1) ** i * math.comb(n, i)
     for j in range(i):
         s = i + j + 1
         weighted = math.comb(n, s) * table.alternating_sum(s, j)
@@ -238,12 +226,12 @@ def check_epw2(n: int):
     lhs = kl_poly(n).reverse(n - 1)
     rhs = UniPoly()
     for j in range(n):
-        rhs += (-1) ** j * binomial(n, j) * (UniPoly.monomial(n - j - 1) - 1)
+        rhs += (-1) ** j * math.comb(n, j) * (UniPoly.monomial(n - j - 1) - 1)
     # Horner in t - 1: one product by the linear factor per k
     t_minus_1 = UniPoly((-1, 1))
     twisted = UniPoly()
     for k in range(2, n + 1):
-        twisted = twisted * t_minus_1 + binomial(n, k) * kl_poly(k)
+        twisted = twisted * t_minus_1 + math.comb(n, k) * kl_poly(k)
     residual = lhs - (rhs + twisted)
     return (not residual, residual)
 
@@ -275,7 +263,7 @@ def check_logconcave(n: int):
     """
     if n < 2:
         raise ValueError("need n >= 2, got n=%d" % n)
-    row = [c_closed(n, i) for i in range(n // 2)]
+    row = kl_poly(n).coeffs
     return [
         LogConcaveTriple(n, i, row[i - 1], row[i], row[i + 1])
         for i in range(1, n // 2 - 1)

@@ -18,7 +18,8 @@ class UniPoly:
     zeros trimmed; the zero polynomial has an empty coefficient tuple.
     Any coefficient that is not an int (a float, a rational, a bool) raises
     TypeError, so no inexact or rational value can enter the arithmetic.
-    Instances are immutable by convention and hashable.
+    Instances are immutable by convention but not hashable: they compare
+    equal to plain ints, and equal values must hash alike.
     """
 
     __slots__ = ("coeffs",)
@@ -37,14 +38,6 @@ class UniPoly:
         if exp < 0:
             raise ValueError("monomial exponent must be nonnegative, got %d" % exp)
         return cls((0,) * exp + (coeff,))
-
-    @classmethod
-    def from_terms(cls, terms):
-        """Build from a mapping exponent -> coefficient."""
-        if not terms:
-            return cls()
-        top = max(terms)
-        return cls([terms.get(e, 0) for e in range(top + 1)])
 
     @property
     def degree(self):
@@ -102,9 +95,6 @@ class UniPoly:
         if not isinstance(other, UniPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __add__(self, other):
         if isinstance(other, int):

@@ -207,12 +207,11 @@ def g_series(order: int) -> USeries:
     so the u^(n-1) coefficient collects the dissection numbers that match
     the Kazhdan-Lusztig coefficients of P_n."""
     f = beckwith_f(order + 1)
-    lifted = [{} for _ in range(order + 1)]
+    lifted = [[0] * (k + 1) for k in range(order + 1)]
     for e, poly in enumerate(f.coeffs):
-        for i, c in enumerate(poly.coeffs):
-            if c and e + i <= order:
-                lifted[e + i][i] = lifted[e + i].get(i, 0) + c
-    shifted = [UniPoly.from_terms(d) for d in lifted]
+        for i, c in enumerate(poly.coeffs[: order - e + 1]):
+            lifted[e + i][i] += c
+    shifted = [UniPoly(row) for row in lifted]
     if shifted[0]:
         raise ArithmeticError("rescaled dissection series must vanish at u^0")
     return USeries(order, shifted[1:])

@@ -185,14 +185,6 @@ class VirtualRep:
         self.n = n
         self.terms = clean
 
-    @classmethod
-    def irreducible(cls, lam):
-        lam = Partition(lam)
-        return cls(lam.size, {lam: 1})
-
-    def multiplicity(self, lam) -> int:
-        return self.terms.get(Partition(lam), 0)
-
     def dimension(self) -> int:
         """Virtual dimension: the multiplicity-weighted sum of hook-length
         dimensions; may be negative."""
@@ -213,9 +205,6 @@ class VirtualRep:
 
     def __sub__(self, other):
         return self._combine(other, -1)
-
-    def __neg__(self):
-        return VirtualRep(self.n, {lam: -m for lam, m in self.terms.items()})
 
     def __mul__(self, scalar):
         if not isinstance(scalar, int):
@@ -284,18 +273,16 @@ def _lr_states(mu, lam):
     return states
 
 
-def induce_product(left, right) -> VirtualRep:
+def induce_product(left: VirtualRep, right: VirtualRep) -> VirtualRep:
     """Product induced from the direct product of two symmetric groups, by
-    the Littlewood-Richardson rule.  Arguments may be partitions or virtual
-    representations; the product is bilinear."""
-    lv = left if isinstance(left, VirtualRep) else VirtualRep.irreducible(left)
-    rv = right if isinstance(right, VirtualRep) else VirtualRep.irreducible(right)
+    the Littlewood-Richardson rule; bilinear in the two virtual
+    representations."""
     out = {}
-    for mu, cm in lv.terms.items():
-        for lam, cl in rv.terms.items():
+    for mu, cm in left.terms.items():
+        for lam, cl in right.terms.items():
             for (nu, _), c in _lr_states(mu, lam).items():
                 out[nu] = out.get(nu, 0) + cm * cl * c
-    return VirtualRep(lv.n + rv.n, out)
+    return VirtualRep(left.n + right.n, out)
 
 
 def _hook(head: int, leg: int):
@@ -329,8 +316,10 @@ def ih_rep(n: int, i: int) -> VirtualRep:
         + sum over 0 < p < n-1, 0 <= q <= min(i, 2i-p) of
           (-1)^(p+q) Ind(wedge^(2i-p-q) rho_{n-p-1} (x) ih(p+1, i-q))
 
-    with ih(n, i) = 0 whenever 2i >= n - 1.  The recursion never assumes
-    the answer is irreducible; that is what verify_main2 checks.
+    with ih(n, i) = 0 whenever 2i >= n - 1.  The loop bounds and 2i < n-1
+    give 0 <= 2i-p-q < n-p-1, so no exterior power in the sum is zero.
+    The recursion never assumes the answer is irreducible; that is what
+    verify_main2 checks.
     """
     if n < 2:
         raise ValueError("need n >= 2, got %d" % n)
@@ -341,13 +330,10 @@ def ih_rep(n: int, i: int) -> VirtualRep:
     total = (-1) ** i * exterior_rho(n, i)
     for p in range(1, n - 1):
         for q in range(min(i, 2 * i - p) + 1):
-            wedge = exterior_rho(n - p - 1, 2 * i - p - q)
-            if not wedge:
-                continue
             sub = ih_rep(p + 1, i - q)
             if not sub:
                 continue
-            term = induce_product(wedge, sub)
+            term = induce_product(exterior_rho(n - p - 1, 2 * i - p - q), sub)
             total = total + term if (p + q) % 2 == 0 else total - term
     return total
 

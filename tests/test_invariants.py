@@ -38,8 +38,8 @@ def expect(name, func, *patches):
 
 
 one = lambda *args: 1
-expect("c_closed", lambda: klnumbers.c_closed(5, 1), mock.patch.object(klnumbers, "binomial", one))
-expect("d_cayley", lambda: klnumbers.d_cayley(5, 1), mock.patch.object(klnumbers, "binomial", one))
+expect("c_closed", lambda: klnumbers.c_closed(5, 1), mock.patch.object(klnumbers.math, "comb", one))
+expect("d_cayley", lambda: klnumbers.d_cayley(5, 1), mock.patch.object(klnumbers.math, "comb", one))
 expect(
     "hook_dimension",
     lambda: symreps.hook_dimension((2, 1)),

@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 
 from uniform_kl.klnumbers import (
     KLTable,
-    binomial,
     c_closed,
     c_recursion,
     check_epw2,
@@ -29,15 +28,6 @@ from uniform_kl.polynomial import UniPoly
 
 
 # ---------------------------------------------------------------- oracles
-
-
-def pascal_triangle(rows):
-    """Binomial oracle built by the addition rule alone."""
-    tri = [[1]]
-    for _ in range(rows - 1):
-        prev = tri[-1]
-        tri.append([1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1])
-    return tri
 
 
 def factorial(n):
@@ -72,23 +62,7 @@ def count_noncrossing_sets(m, k):
     )
 
 
-# ------------------------------------------------------- binomial helpers
-
-
-def test_binomial_against_pascal():
-    tri = pascal_triangle(25)
-    for n, row in enumerate(tri):
-        for k, value in enumerate(row):
-            assert binomial(n, k) == value
-
-
-def test_binomial_edges():
-    assert binomial(5, 0) == 1
-    assert binomial(4, 2) == 6
-    assert binomial(3, 5) == 0
-    assert binomial(3, -1) == 0
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
+# ---------------------------------------------------------- multinomial
 
 
 def test_multinomial_against_factorials():
@@ -194,10 +168,11 @@ def test_d_bruteforce_cap():
 
 
 def test_c_recursion_base_and_frozen():
-    assert c_recursion(2, 0) == 1
+    table = KLTable(6)
+    assert c_recursion(2, 0, table) == 1
     # hand expansion: -C(4,1) + C(4;2,0,2) * c(2,0) = -4 + 6
-    assert c_recursion(4, 1) == 2
-    assert c_recursion(6, 2) == 5
+    assert c_recursion(4, 1, table) == 2
+    assert c_recursion(6, 2, table) == 5
 
 
 def test_c_recursion_matches_closed_form():
@@ -216,7 +191,7 @@ def test_kl_table_matches_closed_form():
 
 def literal_double_sum(n, i, table):
     """The recursion's double sum with its multinomial weights, term by term."""
-    acc = (-1) ** i * binomial(n, i)
+    acc = (-1) ** i * math.comb(n, i)
     for j in range(i):
         for k in range(2 * j + 2, i + j + 2):
             w = multinomial(n, (k, i + j - k + 1, n - i - j - 1))
@@ -311,7 +286,7 @@ def test_check_epw2_detects_one_coefficient_off(monkeypatch, n, k, e):
     assert e <= real(k).degree
     ok, residual = check_epw2(n)
     assert not ok and residual
-    assert residual == -binomial(n, k) * UniPoly((-1, 1)) ** (n - k) * UniPoly.monomial(e)
+    assert residual == -math.comb(n, k) * UniPoly((-1, 1)) ** (n - k) * UniPoly.monomial(e)
 
 
 # ------------------------------------------------------------ logconcave
