@@ -209,10 +209,26 @@ def c_recursion(n: int, i: int, table: KLTable) -> int:
 
 def kl_poly(n: int) -> UniPoly:
     """The Kazhdan-Lusztig polynomial of the rank n-1 uniform matroid on n
-    elements, with closed-form coefficients; degree is below (n-1)/2."""
+    elements, with closed-form coefficients; degree is below (n-1)/2.
+
+    The row starts at c(n, 0) = 1 and steps along by the exact ratio of
+    consecutive closed forms,
+        c(n, i+1) = c(n, i) (n-2i-2)(n-2i-3)(n-i) / ((i+1)(i+2)(n-i-2)),
+    so each step is one exact division; a remainder or a non-positive
+    value raises ArithmeticError.
+    """
     if n < 2:
         raise ValueError("need n >= 2, got n=%d" % n)
-    return UniPoly([c_closed(n, i) for i in range((n - 2) // 2 + 1)])
+    row = [1]
+    for i in range((n - 2) // 2):
+        value, rem = divmod(
+            row[i] * (n - 2 * i - 2) * (n - 2 * i - 3) * (n - i),
+            (i + 1) * (i + 2) * (n - i - 2),
+        )
+        if rem or value <= 0:
+            raise ArithmeticError("row step must divide exactly at (n=%d, i=%d)" % (n, i + 1))
+        row.append(value)
+    return UniPoly(row)
 
 
 def check_epw2(n: int):

@@ -11,6 +11,8 @@ otherwise.
 
 from __future__ import annotations
 
+import math
+
 from .klnumbers import kl_poly
 from .polynomial import UniPoly
 
@@ -223,11 +225,11 @@ def check_functional_equation(order: int, phi: USeries | None = None) -> USeries
 
     The left side has u^(n-1) coefficient t^(n-1) P_n(1/t), built by
     polynomial reversal.  The right side is
-        (t-1)u / ((1-tu+u)(1+u)) + (1-tu+u)^(-2) * Phi(t, u/(1-tu+u))
-    expanded with 1 - tu + u = 1 + (1-t)u inverted as a geometric series.
-    Returns the difference, which must be the zero series.  `phi` defaults
-    to the table series and may be replaced by any candidate of the same
-    order.
+        (t-1)u / ((1-tu+u)(1+u)) + (1-tu+u)^(-2) * Phi(t, u/(1-tu+u)),
+    the first term by series inversion and the second by the closed
+    binomial expansion of _mobius_twist.  Returns the difference, which
+    must be the zero series.  `phi` defaults to the table series and may be
+    replaced by any candidate of the same order.
     """
     if order < 2:
         raise ValueError("order must be at least 2, got %d" % order)
@@ -243,7 +245,24 @@ def check_functional_equation(order: int, phi: USeries | None = None) -> USeries
     one = USeries.one(order)
     u = USeries.monomial(order, 1)
     d = one + USeries.monomial(order, 1, UniPoly((1, -1)))  # 1 - tu + u
-    dinv = d.inverse()
     first = USeries.monomial(order, 1, UniPoly((-1, 1))) * (d * (one + u)).inverse()
-    rhs = first + dinv * dinv * phi.substitute(u * dinv)
-    return lhs - rhs
+    return lhs - (first + _mobius_twist(phi))
+
+
+def _mobius_twist(phi: USeries) -> USeries:
+    """(1-tu+u)^(-2) * phi(t, u/(1-tu+u)) by its closed expansion.
+
+    With phi = sum_k phi_k u^k, the term phi_k u^k (1 + (1-t)u)^(-(k+2))
+    contributes C(k+1+j, j) (t-1)^j phi_k to u^(k+j), and C(k+1+j, j) =
+    C(m+1, j) for m = k + j, so the u^m coefficient is
+        sum over 0 <= j <= m of C(m+1, j) (t-1)^j phi_(m-j),
+    summed by Horner in t - 1: one product by a linear factor per (m, j).
+    """
+    t_minus_1 = UniPoly((-1, 1))
+    out = []
+    for m in range(phi.order):
+        acc = UniPoly()
+        for j in range(m, -1, -1):
+            acc = acc * t_minus_1 + math.comb(m + 1, j) * phi.coeffs[m - j]
+        out.append(acc)
+    return USeries(phi.order, out)

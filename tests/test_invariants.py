@@ -39,6 +39,11 @@ def expect(name, func, *patches):
 
 one = lambda *args: 1
 expect("c_closed", lambda: klnumbers.c_closed(5, 1), mock.patch.object(klnumbers.math, "comb", one))
+expect(
+    "kl_poly step",
+    lambda: klnumbers.kl_poly(8),
+    mock.patch.object(klnumbers, "divmod", lambda a, b: (a // b, 1), create=True),
+)
 expect("d_cayley", lambda: klnumbers.d_cayley(5, 1), mock.patch.object(klnumbers.math, "comb", one))
 expect(
     "hook_dimension",
@@ -66,6 +71,7 @@ expect(
 
 EXPECTED = [
     "c_closed",
+    "kl_poly step",
     "d_cayley",
     "hook_dimension",
     "divexact",

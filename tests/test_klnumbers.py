@@ -249,6 +249,12 @@ def test_kl_poly_degree_bound():
         assert 2 * kl_poly(n).degree < n - 1
 
 
+def test_kl_poly_steps_match_closed_form():
+    # the stepped row against the per-coefficient closed form
+    for n in range(2, 401):
+        assert list(kl_poly(n).coeffs) == [c_closed(n, i) for i in range((n - 2) // 2 + 1)], n
+
+
 def test_kl_poly_matches_recursion_table():
     # ties the polynomial route to the recursion route
     table = KLTable(20)

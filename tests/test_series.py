@@ -13,6 +13,7 @@ from uniform_kl.klnumbers import d_bruteforce, d_cayley, kl_poly
 from uniform_kl.polynomial import UniPoly
 from uniform_kl.series import (
     USeries,
+    _mobius_twist,
     beckwith_f,
     check_functional_equation,
     g_series,
@@ -35,6 +36,15 @@ def geometric(order, ratio):
         coeffs.append(power)
         power = power * ratio
     return USeries(order, coeffs)
+
+
+def horner_twist(phi):
+    """Oracle: (1-tu+u)^(-2) * phi(t, u/(1-tu+u)) by Horner composition,
+    with 1 - tu + u inverted as a series."""
+    order = phi.order
+    u = USeries.monomial(order, 1)
+    dinv = USeries(order, [1, UniPoly([1, -1])]).inverse()
+    return dinv * dinv * phi.substitute(u * dinv)
 
 
 def sqrt_catalan_series(order):
@@ -170,6 +180,17 @@ def test_substitute_rejects_nonzero_constant():
         u.substitute(USeries.one(3))
 
 
+def test_mobius_twist_matches_horner():
+    for order in range(2, 23):
+        for phi in (phi_from_table(order), g_series(order)):
+            assert _mobius_twist(phi) == horner_twist(phi), order
+
+
+@given(series)
+def test_mobius_twist_matches_horner_drawn(phi):
+    assert _mobius_twist(phi) == horner_twist(phi)
+
+
 # ------------------------------------------------------- named generating
 
 
@@ -210,8 +231,16 @@ def test_g_series_matches_phi():
 
 
 def test_functional_equation_residual_zero():
-    for order in (2, 5, 8):
+    for order in (2, 5, 8, 60):
         assert not check_functional_equation(order), order
+
+
+def test_functional_equation_skips_horner(monkeypatch):
+    def refuse(self, inner):
+        raise AssertionError("Horner substitution called")
+
+    monkeypatch.setattr(USeries, "substitute", refuse)
+    assert not check_functional_equation(12)
 
 
 def test_functional_equation_accepts_g_route():
@@ -220,9 +249,9 @@ def test_functional_equation_accepts_g_route():
 
 
 def test_functional_equation_detects_wrong_series():
-    order = 6
-    wrong = phi_from_table(order) + USeries.monomial(order, 3)
-    assert check_functional_equation(order, phi=wrong)
+    for order, exp in ((6, 3), (40, 30)):
+        wrong = phi_from_table(order) + USeries.monomial(order, exp)
+        assert check_functional_equation(order, phi=wrong), order
 
 
 def test_functional_equation_domain():
