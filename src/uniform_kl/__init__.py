@@ -8,64 +8,8 @@ characters assembled by a stratification recursion.  Generating-series
 identities tie the routes together.
 """
 
-from .polynomial import UniPoly
-from .klnumbers import (
-    KLTable,
-    LogConcaveTriple,
-    c_closed,
-    c_recursion,
-    check_epw2,
-    check_logconcave,
-    d_bruteforce,
-    d_cayley,
-    kl_poly,
-)
-from .series import (
-    USeries,
-    beckwith_f,
-    check_functional_equation,
-    g_series,
-    phi_from_table,
-)
-from .symreps import (
-    Partition,
-    VirtualRep,
-    exterior_rho,
-    hook_dimension,
-    ih_rep,
-    induce_product,
-    lemma_key_check,
-    lemma_key_expected,
-    lr_coefficient,
-    verify_main2,
-)
+# Kept at package level because the benchmark harness self-test counts this
+# binding of kl_poly among the ones its traced run patches.
+from .klnumbers import kl_poly
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "UniPoly",
-    "KLTable",
-    "LogConcaveTriple",
-    "c_closed",
-    "c_recursion",
-    "check_epw2",
-    "check_logconcave",
-    "d_bruteforce",
-    "d_cayley",
-    "kl_poly",
-    "USeries",
-    "beckwith_f",
-    "check_functional_equation",
-    "g_series",
-    "phi_from_table",
-    "Partition",
-    "VirtualRep",
-    "exterior_rho",
-    "hook_dimension",
-    "ih_rep",
-    "induce_product",
-    "lemma_key_check",
-    "lemma_key_expected",
-    "lr_coefficient",
-    "verify_main2",
-]

@@ -27,6 +27,7 @@ __all__ = [
     "KLTable",
     "c_recursion",
     "kl_poly",
+    "twisted_binomial_sum",
     "check_epw2",
     "LogConcaveTriple",
     "check_logconcave",
@@ -231,6 +232,19 @@ def kl_poly(n: int) -> UniPoly:
     return UniPoly(row)
 
 
+def twisted_binomial_sum(phi) -> UniPoly:
+    """sum over 1 <= k <= N of C(N, k) (t-1)^(N-k) phi[k-1], N = len(phi), by
+    Horner in t - 1 with k ascending: one product by the linear factor per k.
+    The degree-reversal identity and the functional equation both read their
+    twisted sums from it."""
+    t_minus_1 = UniPoly((-1, 1))
+    n = len(phi)
+    acc = UniPoly()
+    for k, p in enumerate(phi, 1):
+        acc = acc * t_minus_1 + math.comb(n, k) * p
+    return acc
+
+
 def check_epw2(n: int):
     """Degree-reversal identity for P_n.
 
@@ -243,11 +257,8 @@ def check_epw2(n: int):
     rhs = UniPoly()
     for j in range(n):
         rhs += (-1) ** j * math.comb(n, j) * (UniPoly.monomial(n - j - 1) - 1)
-    # Horner in t - 1: one product by the linear factor per k
-    t_minus_1 = UniPoly((-1, 1))
-    twisted = UniPoly()
-    for k in range(2, n + 1):
-        twisted = twisted * t_minus_1 + math.comb(n, k) * kl_poly(k)
+    # slot k - 1 holds P_k; the k = 1 slot is zero, as the sum starts at k = 2
+    twisted = twisted_binomial_sum([UniPoly()] + [kl_poly(k) for k in range(2, n + 1)])
     residual = lhs - (rhs + twisted)
     return (not residual, residual)
 

@@ -8,6 +8,8 @@ when the quotient is again integral.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 __all__ = ["UniPoly"]
 
 
@@ -101,8 +103,7 @@ class UniPoly:
             other = UniPoly((other,))
         if not isinstance(other, UniPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly([self.coeff(e) + other.coeff(e) for e in range(n)])
+        return UniPoly([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     __radd__ = __add__
 
@@ -110,11 +111,7 @@ class UniPoly:
         return UniPoly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = UniPoly((other,))
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self + (-other)
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other

@@ -11,9 +11,7 @@ otherwise.
 
 from __future__ import annotations
 
-import math
-
-from .klnumbers import kl_poly
+from .klnumbers import kl_poly, twisted_binomial_sum
 from .polynomial import UniPoly
 
 __all__ = [
@@ -86,12 +84,7 @@ class USeries:
         return USeries(self.order, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, UniPoly)):
-            other = USeries.monomial(self.order, 0, other)
-        if not isinstance(other, USeries):
-            return NotImplemented
-        self._same_order(other)
-        return USeries(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
@@ -133,19 +126,23 @@ class USeries:
 
     def sqrt(self) -> "USeries":
         """Square root with constant term 1, by the triangular recurrence
-        r_k = (s_k - sum_{0<j<k} r_j r_{k-j}) / 2.  Each halving is an exact
-        division, so ArithmeticError is raised when the root is not in
-        Z[t][[u]]; the result is verified by squaring before it is returned."""
+        r_k = (s_k - sum_{0<j<k} r_j r_{k-j}) / 2, each cross product made once
+        for j < k/2 and doubled.  Each halving is an exact division, so
+        ArithmeticError is raised when the root is not in Z[t][[u]]; the
+        result is verified by squaring before it is returned."""
         if self.coeffs[0] != UniPoly((1,)):
             raise ValueError("u^0 coefficient must be 1")
         two = UniPoly((2,))
         root = [self.coeffs[0]]
         for k in range(1, self.order):
-            acc = self.coeffs[k]
-            for j in range(1, k):
+            half = UniPoly()
+            for j in range(1, (k + 1) // 2):
                 if root[j] and root[k - j]:
-                    acc = acc - root[j] * root[k - j]
-            root.append(acc.divexact(two))
+                    half += root[j] * root[k - j]
+            cross = 2 * half
+            if not k & 1:
+                cross += root[k // 2] * root[k // 2]
+            root.append((self.coeffs[k] - cross).divexact(two))
         out = USeries(self.order, root)
         if out * out != self:
             raise ArithmeticError("square root does not square back to the input")
@@ -256,13 +253,8 @@ def _mobius_twist(phi: USeries) -> USeries:
     contributes C(k+1+j, j) (t-1)^j phi_k to u^(k+j), and C(k+1+j, j) =
     C(m+1, j) for m = k + j, so the u^m coefficient is
         sum over 0 <= j <= m of C(m+1, j) (t-1)^j phi_(m-j),
-    summed by Horner in t - 1: one product by a linear factor per (m, j).
+    the twisted binomial sum of phi_0 .. phi_m (k = m - j + 1 there).
     """
-    t_minus_1 = UniPoly((-1, 1))
-    out = []
-    for m in range(phi.order):
-        acc = UniPoly()
-        for j in range(m, -1, -1):
-            acc = acc * t_minus_1 + math.comb(m + 1, j) * phi.coeffs[m - j]
-        out.append(acc)
-    return USeries(phi.order, out)
+    return USeries(
+        phi.order, [twisted_binomial_sum(phi.coeffs[: m + 1]) for m in range(phi.order)]
+    )

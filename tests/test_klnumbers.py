@@ -9,7 +9,7 @@ import math
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from uniform_kl.klnumbers import (
     KLTable,
@@ -22,6 +22,7 @@ from uniform_kl.klnumbers import (
     diagonals_cross,
     kl_poly,
     polygon_diagonals,
+    twisted_binomial_sum,
 )
 from uniform_kl import cli, klnumbers
 from uniform_kl.polynomial import UniPoly
@@ -293,6 +294,16 @@ def test_check_epw2_detects_one_coefficient_off(monkeypatch, n, k, e):
     ok, residual = check_epw2(n)
     assert not ok and residual
     assert residual == -math.comb(n, k) * UniPoly((-1, 1)) ** (n - k) * UniPoly.monomial(e)
+
+
+@given(st.lists(st.builds(UniPoly, st.lists(st.integers(-9, 9), max_size=5)), max_size=12))
+@example([])
+@example([UniPoly([3, -1])])
+def test_twisted_binomial_sum_matches_literal_sum(phi):
+    # the Horner kernel against sum_k C(N, k) (t-1)^(N-k) phi[k-1] term by term
+    n = len(phi)
+    terms = [math.comb(n, k) * UniPoly((-1, 1)) ** (n - k) * phi[k - 1] for k in range(1, n + 1)]
+    assert twisted_binomial_sum(phi) == sum(terms, UniPoly())
 
 
 # ------------------------------------------------------------ logconcave

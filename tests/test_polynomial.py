@@ -28,6 +28,13 @@ def test_non_integer_coefficients_rejected():
         UniPoly([Fraction(1, 2)])
     with pytest.raises(TypeError):
         USeries(3, [1, 0.5])
+    # subtraction is addition of the negation, which must not let them in
+    with pytest.raises(TypeError):
+        UniPoly([1]) - 0.5
+    with pytest.raises(TypeError):
+        UniPoly([1]) - Fraction(1, 2)
+    with pytest.raises(TypeError):
+        USeries(3, [1]) - 0.5
 
 
 def test_equality_with_scalars():
@@ -106,6 +113,8 @@ def test_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert (a * b) * c == a * (b * c)
     assert a + b == b + a
+    assert (a - b) + b == a
+    assert 5 - a == -(a - 5)
 
 
 def test_str_rendering():

@@ -74,6 +74,8 @@ def test_order_mismatch_rejected():
     with pytest.raises(ValueError):
         USeries(3, [1]) + USeries(4, [1])
     with pytest.raises(ValueError):
+        USeries(3, [1]) - USeries(4, [1])
+    with pytest.raises(ValueError):
         USeries(3, [1]) * USeries(4, [1])
 
 
