@@ -2,10 +2,11 @@
 the verification suites, with text, JSON, or CSV output.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failing
-case, 2 on usage errors.  A verification bound outside the suite's domain,
-a bound flag the suite does not use, and a bound so small that the suite
-runs no case are usage errors.  Large integers are emitted as decimal
-strings in JSON so nothing is lost to floating point.
+case, 2 on usage errors, 141 when the reader closes stdout early.  A
+verification bound outside the suite's domain, a bound flag the suite does
+not use, and a bound so small that the suite runs no case are usage errors.
+Large integers are emitted as decimal strings in JSON, at any length, so
+nothing is lost to floating point.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 import time
 from collections import namedtuple
@@ -36,132 +38,96 @@ from .symreps import Partition, hook_dimension, ih_rep, lemma_key_check, lemma_k
 _JSON_BATCH = 4096
 
 
-class CaseRecord(namedtuple("CaseRecord", "inputs expected actual passed")):
-    """One verified statement: the inputs, both sides as computed, and the
-    verdict.  The sides are rendered with str() only when written."""
-
-    __slots__ = ()
+# One verified statement: the inputs, both sides as computed, and the
+# verdict.  The sides are rendered with str() only when written.
+CaseRecord = namedtuple("CaseRecord", "inputs expected actual passed")
 
 
 class VerificationReport:
-    """Per-case records for one suite, with summary counts derived from
-    the records so the two can never disagree."""
+    """Per-case records for one suite; the pass count is derived from the
+    records so the two can never disagree."""
 
     def __init__(self, suite: str):
         self.suite = suite
         self.cases = []
         self.wall_time = 0.0
 
-    def add(self, inputs, expected, actual):
-        self.cases.append(CaseRecord(inputs, expected, actual, expected == actual))
-
     @property
     def n_passed(self) -> int:
         return sum(1 for c in self.cases if c.passed)
 
-    @property
-    def n_failed(self) -> int:
-        return len(self.cases) - self.n_passed
 
-    @property
-    def ok(self) -> bool:
-        return self.n_failed == 0
-
-
-def suite_closed_vs_recursion(n_max: int = 25) -> VerificationReport:
+def suite_closed_vs_recursion(n_max: int = 25):
     """Closed form against the double-sum recursion, including indices past
     the vanishing threshold."""
-    report = VerificationReport("closed-vs-recursion")
     table = KLTable(n_max)
     for n in range(2, n_max + 1):
         for i in range((n - 2) // 2 + 3):
-            report.add("n=%d i=%d" % (n, i), c_closed(n, i), table.get(n, i))
-    return report
+            yield "n=%d i=%d" % (n, i), c_closed(n, i), table.get(n, i)
 
 
-def suite_chords(m_max: int = 12) -> VerificationReport:
+def suite_chords(m_max: int = 12):
     """Dissection closed form against brute-force enumeration, and the
     coefficient identity c(n, i) = d(n-i+1, i)."""
     if m_max > D_BRUTEFORCE_MAX_M:
         raise ValueError("m_max=%d exceeds the enumeration cap %d" % (m_max, D_BRUTEFORCE_MAX_M))
-    report = VerificationReport("chords")
     for m in range(3, m_max + 1):
         for k in range(m - 1):
-            report.add("m=%d k=%d" % (m, k), d_cayley(m, k), d_bruteforce(m, k))
+            yield "m=%d k=%d" % (m, k), d_cayley(m, k), d_bruteforce(m, k)
     for n in range(2, m_max + 1):
         for i in range(1, n - 1):
-            report.add(
-                "c(%d,%d) = d(%d,%d)" % (n, i, n - i + 1, i),
-                c_closed(n, i),
-                d_bruteforce(n - i + 1, i),
-            )
-    return report
+            j = n - i + 1
+            yield "c(%d,%d) = d(%d,%d)" % (n, i, j, i), c_closed(n, i), d_bruteforce(j, i)
 
 
-def suite_epw2(n_max: int = 20) -> VerificationReport:
+def suite_epw2(n_max: int = 20):
     """Degree-reversal identity: the residual must be the zero polynomial."""
-    report = VerificationReport("epw2")
     for n in range(2, n_max + 1):
         _, residual = check_epw2(n)
-        report.add("n=%d" % n, "0", str(residual))
-    return report
+        yield "n=%d" % n, "0", str(residual)
 
 
-def suite_functional_eq(order: int = 12) -> VerificationReport:
+def suite_functional_eq(order: int = 12):
     """Substitution identity residual, and the dissection series against the
     table series, both at the given truncation order."""
-    report = VerificationReport("functional-eq")
     zero = USeries(order)
-    report.add("residual at order %d" % order, zero, check_functional_equation(order))
+    yield "residual at order %d" % order, zero, check_functional_equation(order)
     g = g_series(order)
-    report.add("g = phi at order %d" % order, phi_from_table(order), g)
-    report.add(
-        "residual with phi := g at order %d" % order,
-        zero,
-        check_functional_equation(order, phi=g),
-    )
-    return report
+    yield "g = phi at order %d" % order, phi_from_table(order), g
+    yield "residual with phi := g at order %d" % order, zero, check_functional_equation(order, g)
 
 
-def suite_logconcave(n_max: int = 60) -> VerificationReport:
+def suite_logconcave(n_max: int = 60):
     """Strict log-concavity of every coefficient row up to n_max."""
-    report = VerificationReport("logconcave")
     for n in range(2, n_max + 1):
         for t in check_logconcave(n):
-            report.add(t, True, t.strict)
-    return report
+            yield t, True, t.strict
 
 
-def suite_main2(n_max: int = 14) -> VerificationReport:
+def suite_main2(n_max: int = 14):
     """Each cohomology character is the single irreducible [n-2i, 2^i], and
     both its virtual dimension and the hook-length dimension of the target
     shape agree with the closed form."""
-    report = VerificationReport("main2")
     for n in range(2, n_max + 1):
         for i in range((n - 2) // 2 + 1):
             target = Partition((n - 2 * i,) + (2,) * i)
             expected = c_closed(n, i)
-            report.add("ih(%d,%d) irreducible" % (n, i), True, verify_main2(n, i))
-            report.add("dim ih(%d,%d)" % (n, i), expected, ih_rep(n, i).dimension())
-            report.add(
-                "hook dim %s" % (tuple(target),), expected, hook_dimension(target)
-            )
-    return report
+            yield "ih(%d,%d) irreducible" % (n, i), True, verify_main2(n, i)
+            yield "dim ih(%d,%d)" % (n, i), expected, ih_rep(n, i).dimension()
+            yield "hook dim %s" % (tuple(target),), expected, hook_dimension(target)
 
 
-def suite_lemma_key(n_max: int = 12) -> VerificationReport:
+def suite_lemma_key(n_max: int = 12):
     """The two-coefficient pattern over every admissible (n, i, p, q)."""
-    report = VerificationReport("lemma-key")
     for n in range(2, n_max + 1):
         for i in range((n - 2) // 2 + 1):
             for p in range(1, min(2 * i, n - 1) + 1):
                 for q in range(min(i, 2 * i - p) + 1):
-                    report.add(
+                    yield (
                         "n=%d i=%d p=%d q=%d" % (n, i, p, q),
                         lemma_key_expected(n, i, p, q),
                         lemma_key_check(n, i, p, q),
                     )
-    return report
 
 
 _SUITES = {
@@ -176,11 +142,14 @@ _SUITES = {
 
 
 def run_suite(name: str, n_max=None, m_max=None, order=None) -> VerificationReport:
-    """Run one named suite, honoring whichever bound option it uses."""
+    """Run one named suite, honoring whichever bound option it uses, and
+    record each (inputs, expected, actual) triple it yields with its verdict."""
     func, param = _SUITES[name]
     value = {"n_max": n_max, "m_max": m_max, "order": order}[param]
+    report = VerificationReport(name)
     start = time.perf_counter()
-    report = func() if value is None else func(value)
+    for inputs, expected, actual in func() if value is None else func(value):
+        report.cases.append(CaseRecord(inputs, expected, actual, expected == actual))
     report.wall_time = time.perf_counter() - start
     return report
 
@@ -314,20 +283,15 @@ def cmd_verify(args) -> int:
                 "suite %s ran zero cases; raise its %s bound" % (name, _flag(_SUITES[name][1]))
             )
         reports.append(report)
-    all_ok = all(r.ok for r in reports)
+    all_ok = all(r.n_passed == len(r.cases) for r in reports)
     if args.format == "json":
         _write_verify_json(reports, all_ok)
     else:
         for report in reports:
+            total, passed = len(report.cases), report.n_passed
             print(
                 "%s: %d cases, %d passed, %d failed (%.2fs)"
-                % (
-                    report.suite,
-                    len(report.cases),
-                    report.n_passed,
-                    report.n_failed,
-                    report.wall_time,
-                )
+                % (report.suite, total, passed, total - passed, report.wall_time)
             )
             for case in report.cases:
                 if not case.passed:
@@ -377,7 +341,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # Exact decimals past 4,300 digits; argparse's int() above stays capped.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe: quiet the interpreter's final flush and
+        # exit as a shell reports death by SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code
 
 
 if __name__ == "__main__":

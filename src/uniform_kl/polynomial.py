@@ -18,8 +18,9 @@ class UniPoly:
 
     Coefficients are stored densely, indexed by exponent, with trailing
     zeros trimmed; the zero polynomial has an empty coefficient tuple.
-    Any coefficient that is not an int (a float, a rational, a bool) raises
-    TypeError, so no inexact or rational value can enter the arithmetic.
+    Any coefficient or scalar operand that is not an int (a float, a
+    rational, a bool) raises TypeError, so no inexact or rational value can
+    enter the arithmetic; a bool compares unequal.
     Instances are immutable by convention but not hashable: they compare
     equal to plain ints, and equal values must hash alike.
     """
@@ -92,14 +93,14 @@ class UniPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             other = UniPoly((other,))
         if not isinstance(other, UniPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
 
     def __add__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             other = UniPoly((other,))
         if not isinstance(other, UniPoly):
             return NotImplemented
@@ -111,13 +112,15 @@ class UniPoly:
         return UniPoly([-c for c in self.coeffs])
 
     def __sub__(self, other):
+        if isinstance(other, bool):  # -True is the int -1
+            return NotImplemented
         return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return UniPoly([c * other for c in self.coeffs])
         if not isinstance(other, UniPoly):
             return NotImplemented

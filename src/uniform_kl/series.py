@@ -84,6 +84,8 @@ class USeries:
         return USeries(self.order, [-c for c in self.coeffs])
 
     def __sub__(self, other):
+        if isinstance(other, bool):  # -True is the int -1
+            return NotImplemented
         return self + -other
 
     def __rsub__(self, other):
@@ -230,14 +232,14 @@ def check_functional_equation(order: int, phi: USeries | None = None) -> USeries
     """
     if order < 2:
         raise ValueError("order must be at least 2, got %d" % order)
+    table = phi_from_table(order)
     if phi is None:
-        phi = phi_from_table(order)
+        phi = table
     elif phi.order != order:
         raise ValueError("phi has order %d, expected %d" % (phi.order, order))
-    lhs_coeffs = [UniPoly()]
-    for n in range(2, order + 1):
-        lhs_coeffs.append(kl_poly(n).reverse(n - 1))
-    lhs = USeries(order, lhs_coeffs[:order])
+    # The left side reverses the table rows whatever phi is: a candidate
+    # row of too high a degree must show up in the residual, not raise.
+    lhs = USeries(order, [c.reverse(m) for m, c in enumerate(table.coeffs)])
 
     one = USeries.one(order)
     u = USeries.monomial(order, 1)

@@ -73,10 +73,8 @@ def test_verify_json_failing_report_and_escapes(capsys, monkeypatch):
     awkward = 'quote " backslash \\ newline \n accent \u00e9 snowman \u2603'
 
     def broken_suite(n_max=5):
-        report = cli.VerificationReport("closed-vs-recursion")
-        report.add(awkward, 1, 1)
-        report.add("n=3 i=0", 1, 2)
-        return report
+        yield awkward, 1, 1
+        yield "n=3 i=0", 1, 2
 
     monkeypatch.setitem(cli._SUITES, "closed-vs-recursion", (broken_suite, "n_max"))
     code, out, _ = run(capsys, "verify", "closed-vs-recursion", "--format", "json")
@@ -98,6 +96,35 @@ def test_cli_import_skips_dataclasses():
     env = dict(os.environ, PYTHONPATH=str(src))
     script = "import sys, uniform_kl.cli; sys.exit('dataclasses' in sys.modules)"
     subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+
+def _cli_process(*argv, **kwargs):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.Popen(
+        [sys.executable, "-m", "uniform_kl.cli", *argv], env=env, **kwargs
+    )
+
+
+def test_closed_pipe_exits_141_quietly():
+    # 3.8 MB of output, far more than a pipe buffers, so the writer is
+    # still writing when the reader goes away after one line
+    child = _cli_process(
+        "table", "--n-max", "400", stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert child.stdout.readline().startswith(b"n=2: 1")
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=60) == 141
+    assert err == b""
+
+
+def test_integers_past_the_str_digits_limit():
+    # a subprocess, so no in-process main() call has lifted the limit already
+    child = _cli_process("poly", "--n", "9030", "--format", "json", stdout=subprocess.PIPE)
+    out, _ = child.communicate(timeout=60)
+    assert child.returncode == 0
+    assert max(len(c) for c in json.loads(out)["coeffs"]) > 4300
 
 
 def test_table_csv(capsys):
@@ -212,9 +239,7 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     import uniform_kl.cli as cli
 
     def broken_suite(n_max=5):
-        report = cli.VerificationReport("closed-vs-recursion")
-        report.add("n=3 i=0", 1, 2)
-        return report
+        yield "n=3 i=0", 1, 2
 
     monkeypatch.setitem(cli._SUITES, "closed-vs-recursion", (broken_suite, "n_max"))
     code, out, _ = run(capsys, "verify", "closed-vs-recursion")

@@ -150,7 +150,7 @@ def test_d_bruteforce_frozen_values():
 
 def test_d_bruteforce_walks_each_polygon_once():
     klnumbers._dissection_counts.cache_clear()
-    cli.suite_chords(12)
+    cli.run_suite("chords")
     info = klnumbers._dissection_counts.cache_info()
     assert (info.misses, info.hits) == (10, 110)
     for m in range(3, 13):

@@ -35,6 +35,18 @@ def test_non_integer_coefficients_rejected():
         UniPoly([1]) - Fraction(1, 2)
     with pytest.raises(TypeError):
         USeries(3, [1]) - 0.5
+    # a bool is no int scalar on either side, though -True is the int -1
+    p, s = UniPoly([1, 2]), USeries(3, [1, 2])
+    for x in (p, s):
+        for op in (
+            lambda: x + True, lambda: True + x,
+            lambda: x - True, lambda: True - x,
+            lambda: x * True, lambda: True * x,
+        ):
+            with pytest.raises(TypeError):
+                op()
+    assert (UniPoly([1]) == True) is False  # noqa: E712
+    assert UniPoly() != False  # noqa: E712
 
 
 def test_equality_with_scalars():
