@@ -42,19 +42,8 @@ _JSON_BATCH = 4096
 # verdict.  The sides are rendered with str() only when written.
 CaseRecord = namedtuple("CaseRecord", "inputs expected actual passed")
 
-
-class VerificationReport:
-    """Per-case records for one suite; the pass count is derived from the
-    records so the two can never disagree."""
-
-    def __init__(self, suite: str):
-        self.suite = suite
-        self.cases = []
-        self.wall_time = 0.0
-
-    @property
-    def n_passed(self) -> int:
-        return sum(1 for c in self.cases if c.passed)
+# One suite run: its case records, the number that passed, and its wall time.
+SuiteReport = namedtuple("SuiteReport", "suite cases n_passed wall_time")
 
 
 def suite_closed_vs_recursion(n_max: int = 25):
@@ -141,17 +130,16 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, n_max=None, m_max=None, order=None) -> VerificationReport:
-    """Run one named suite, honoring whichever bound option it uses, and
-    record each (inputs, expected, actual) triple it yields with its verdict."""
-    func, param = _SUITES[name]
-    value = {"n_max": n_max, "m_max": m_max, "order": order}[param]
-    report = VerificationReport(name)
+def run_suite(name: str, bound=None) -> SuiteReport:
+    """Run one named suite at the value of its bound option (None for its
+    default), and record each (inputs, expected, actual) triple with its verdict."""
+    func = _SUITES[name][0]
     start = time.perf_counter()
-    for inputs, expected, actual in func() if value is None else func(value):
-        report.cases.append(CaseRecord(inputs, expected, actual, expected == actual))
-    report.wall_time = time.perf_counter() - start
-    return report
+    cases = []
+    for inputs, expected, actual in func() if bound is None else func(bound):
+        cases.append(CaseRecord(inputs, expected, actual, expected == actual))
+    wall_time = time.perf_counter() - start
+    return SuiteReport(name, cases, sum(1 for c in cases if c.passed), wall_time)
 
 
 def _write_json(payload) -> None:
@@ -275,7 +263,7 @@ def cmd_verify(args) -> int:
     reports = []
     for name in names:
         try:
-            report = run_suite(name, **bounds)
+            report = run_suite(name, bounds[_SUITES[name][1]])
         except ValueError as exc:
             return _usage_error("suite %s: %s" % (name, exc))
         if not report.cases:

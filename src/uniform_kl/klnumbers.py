@@ -143,7 +143,6 @@ class KLTable:
     def __init__(self, max_n: int):
         if max_n < 2:
             raise ValueError("need max_n >= 2, got %d" % max_n)
-        self.max_n = max_n
         self.cells = {}
         self.sums = {}
         for n in range(2, max_n + 1):
@@ -254,9 +253,10 @@ def check_epw2(n: int):
     `residual` is the polynomial difference, zero exactly when it holds.
     """
     lhs = kl_poly(n).reverse(n - 1)
-    rhs = UniPoly()
-    for j in range(n):
-        rhs += (-1) ** j * math.comb(n, j) * (UniPoly.monomial(n - j - 1) - 1)
+    # binomial theorem: t^e comes from j = n-1-e alone; the -1 terms sum to (-1)^n
+    row = [(-1) ** (n - 1 - e) * math.comb(n, e + 1) for e in range(n)]
+    row[0] += (-1) ** n
+    rhs = UniPoly(row)
     # slot k - 1 holds P_k; the k = 1 slot is zero, as the sum starts at k = 2
     twisted = twisted_binomial_sum([UniPoly()] + [kl_poly(k) for k in range(2, n + 1)])
     residual = lhs - (rhs + twisted)

@@ -36,12 +36,6 @@ class UniPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def monomial(cls, exp, coeff=1):
-        if exp < 0:
-            raise ValueError("monomial exponent must be nonnegative, got %d" % exp)
-        return cls((0,) * exp + (coeff,))
-
     @property
     def degree(self):
         """Degree of the polynomial; the zero polynomial has degree -1."""
@@ -115,9 +109,6 @@ class UniPoly:
         if isinstance(other, bool):  # -True is the int -1
             return NotImplemented
         return self + -other
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if type(other) is int:

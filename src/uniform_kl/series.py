@@ -51,11 +51,6 @@ class USeries:
             raise ValueError("exponent %d outside truncation order %d" % (exp, order))
         return cls(order, [0] * exp + [coeff])
 
-    def coeff(self, exp) -> UniPoly:
-        if 0 <= exp < self.order:
-            return self.coeffs[exp]
-        return UniPoly()
-
     def _same_order(self, other):
         if self.order != other.order:
             raise ValueError(
@@ -87,9 +82,6 @@ class USeries:
         if isinstance(other, bool):  # -True is the int -1
             return NotImplemented
         return self + -other
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, UniPoly)):
@@ -182,10 +174,7 @@ class USeries:
 def phi_from_table(order: int) -> USeries:
     """Series whose u^(n-1) coefficient is the Kazhdan-Lusztig polynomial
     P_n, for 2 <= n <= order."""
-    coeffs = [UniPoly()]
-    for n in range(2, order + 1):
-        coeffs.append(kl_poly(n))
-    return USeries(order, coeffs[:order])
+    return USeries(order, [kl_poly(n) if n > 1 else UniPoly() for n in range(1, order + 1)])
 
 
 def beckwith_f(order: int) -> USeries:

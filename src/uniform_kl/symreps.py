@@ -31,7 +31,7 @@ __all__ = [
 
 
 def _weakly_decreasing_positive(parts) -> bool:
-    if not all(isinstance(p, int) and p > 0 for p in parts):
+    if not all(type(p) is int and p > 0 for p in parts):
         return False
     return all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
 
@@ -161,9 +161,10 @@ def lr_coefficient(nu, mu, lam) -> int:
 class VirtualRep:
     """Integer linear combination of irreducible characters of a fixed S_n.
 
-    Multiplicities may be negative; zero multiplicities are dropped, so the
-    zero element has an empty term map.  Keys that are not yet Partition
-    objects are validated as partitions; every key must have size n.
+    Multiplicities are ints (anything else, a bool too, raises TypeError) and
+    may be negative; zero ones are dropped, so the zero element has an empty
+    term map.  Keys that are not yet Partition objects are validated as
+    partitions; every key must have size n.
     """
 
     __slots__ = ("n", "terms")
@@ -173,6 +174,8 @@ class VirtualRep:
             raise ValueError("need n >= 0, got %d" % n)
         clean = {}
         for lam, mult in (terms or {}).items():
+            if type(mult) is not int:
+                raise TypeError("multiplicities must be int, got %s" % type(mult).__name__)
             if not mult:
                 continue
             if not isinstance(lam, Partition):
@@ -207,7 +210,7 @@ class VirtualRep:
         return self._combine(other, -1)
 
     def __mul__(self, scalar):
-        if not isinstance(scalar, int):
+        if type(scalar) is not int:
             return NotImplemented
         return VirtualRep(self.n, {lam: scalar * m for lam, m in self.terms.items()})
 

@@ -247,6 +247,42 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert "FAIL n=3 i=0: expected 1, got 2" in out
 
 
+def test_run_suite_counts_each_pass_once(monkeypatch):
+    import uniform_kl.cli as cli
+
+    def mixed_suite(n_max=5):
+        yield "a", 1, 1
+        yield "b", 1, 2
+        yield "c", 2, 2
+
+    passing = cli.run_suite("epw2", 6)
+    monkeypatch.setitem(cli._SUITES, "closed-vs-recursion", (mixed_suite, "n_max"))
+    failing = cli.run_suite("closed-vs-recursion")
+    for report, passed in ((passing, 5), (failing, 2)):
+        assert report.n_passed == sum(1 for c in report.cases if c.passed) == passed
+
+
+@pytest.mark.parametrize("param, value", [("n_max", 7), ("m_max", 8), ("order", 9)])
+def test_verify_all_gives_each_suite_only_its_own_bound(capsys, monkeypatch, param, value):
+    import uniform_kl.cli as cli
+
+    seen = {}
+
+    def recorder(name):
+        def suite(*bound):
+            seen[name] = bound
+            yield "case", 1, 1
+        return suite
+
+    for name, (_, used) in list(cli._SUITES.items()):
+        monkeypatch.setitem(cli._SUITES, name, (recorder(name), used))
+    code, _, _ = run(capsys, "verify", "all", "--" + param.replace("_", "-"), str(value))
+    assert code == 0
+    assert seen == {
+        name: (value,) if used == param else () for name, (_, used) in cli._SUITES.items()
+    }
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])

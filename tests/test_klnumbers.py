@@ -225,7 +225,6 @@ def test_kl_table_keeps_one_inner_sum_per_pair():
 
 def test_kl_table():
     table = KLTable(10)
-    assert table.max_n == 10
     for n in range(2, 11):
         assert table.get(n, 0) == 1
         assert table.get(n, -1) == 0
@@ -282,18 +281,30 @@ def test_check_epw2_range():
         assert ok and not residual, (n, residual)
 
 
+def test_check_epw2_alternating_row_matches_literal_sum(monkeypatch):
+    # with every P_k zero, both the reversal and the twisted sum vanish and
+    # the residual is minus the row sum_j (-1)^j C(n, j) (t^(n-j-1) - 1)
+    monkeypatch.setattr(klnumbers, "kl_poly", lambda m: UniPoly())
+    for n in range(2, 61):
+        literal = UniPoly()
+        for j in range(n):
+            term = (0,) * (n - j - 1) + (1,)
+            literal += (-1) ** j * math.comb(n, j) * (UniPoly(term) - 1)
+        _, residual = check_epw2(n)
+        assert -residual == literal, n
+
+
 @pytest.mark.parametrize("n, k, e", [(4, 2, 0), (7, 3, 0), (10, 6, 2), (12, 9, 1), (12, 11, 4)])
 def test_check_epw2_detects_one_coefficient_off(monkeypatch, n, k, e):
     # P_k with its t^e coefficient one too high shifts the twisted sum by
     # exactly C(n, k) (t-1)^(n-k) t^e
     real = klnumbers.kl_poly
-    monkeypatch.setattr(
-        klnumbers, "kl_poly", lambda m: real(m) + UniPoly.monomial(e) if m == k else real(m)
-    )
+    t_e = UniPoly((0,) * e + (1,))
+    monkeypatch.setattr(klnumbers, "kl_poly", lambda m: real(m) + t_e if m == k else real(m))
     assert e <= real(k).degree
     ok, residual = check_epw2(n)
     assert not ok and residual
-    assert residual == -math.comb(n, k) * UniPoly((-1, 1)) ** (n - k) * UniPoly.monomial(e)
+    assert residual == -math.comb(n, k) * UniPoly((-1, 1)) ** (n - k) * t_e
 
 
 @given(st.lists(st.builds(UniPoly, st.lists(st.integers(-9, 9), max_size=5)), max_size=12))

@@ -7,6 +7,7 @@ product by the Littlewood-Richardson rule as a sequence of horizontal
 strips and never calls it.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial
@@ -275,6 +276,23 @@ def test_virtual_rep_validates_plain_keys_and_trusts_partitions(monkeypatch):
     total = a + b
     assert checked == []  # the keys are Partition objects already
     assert total.terms == {(3, 1): 2, (2, 2): 2, (2, 1, 1): -1}
+
+
+def test_non_integer_multiplicities_rejected():
+    # the integer policy of UniPoly: no float, rational or bool enters,
+    # not even a zero that would be dropped
+    for mult in (0.5, 0.0, Fraction(1, 2), True):
+        with pytest.raises(TypeError):
+            VirtualRep(3, {(3,): mult})
+    rep = VirtualRep(3, {(3,): 1})
+    for scalar in (0.5, Fraction(1, 2), True):
+        with pytest.raises(TypeError):
+            rep * scalar
+        with pytest.raises(TypeError):
+            scalar * rep
+    with pytest.raises(ValueError):
+        Partition((True,))
+    assert Partition.maybe((2, True)) is None
 
 
 def test_virtual_rep_rendering():
