@@ -137,7 +137,8 @@ class KLTable:
 
     Only the band 2i < n - 1 is stored; get() applies the vanishing
     convention (zero for i < 0 and for 2i >= n - 1) so lookups made by the
-    recursion are total.  `sums` keeps each inner sum by its (s, j).
+    recursion are total.  `sums` holds the inner sum of each (s, j) that a
+    row up to max_n reads, filled from s's signed Pascal row once row s is.
     """
 
     def __init__(self, max_n: int):
@@ -145,27 +146,19 @@ class KLTable:
             raise ValueError("need max_n >= 2, got %d" % max_n)
         self.cells = {}
         self.sums = {}
+        top = (max_n - 2) // 2  # highest i of any stored row
         for n in range(2, max_n + 1):
             for i in range((n - 2) // 2 + 1):
                 self.cells[n, i] = c_recursion(n, i, self)
+            # rows up to max_n read (n, j) only as (i + j + 1, j) with j < i <= top
+            signed = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
+            for j in range(max(0, n - 1 - top), (n - 2) // 2 + 1):
+                self.sums[n, j] = sum(signed[k] * self.cells[k, j] for k in range(2 * j + 2, n + 1))
 
     def get(self, n: int, i: int) -> int:
         if i < 0 or 2 * i >= n - 1:
             return 0
         return self.cells[n, i]
-
-    def alternating_sum(self, s: int, j: int) -> int:
-        """sum over 2j+2 <= k <= s of (-1)^k C(s, k) c(k, j), computed once
-        per (s, j): it reads rows k <= s only, complete before any row n > s
-        asks for it."""
-        value = self.sums.get((s, j))
-        if value is None:
-            value = 0
-            for k in range(2 * j + 2, s + 1):
-                term = math.comb(s, k) * self.get(k, j)
-                value += -term if k & 1 else term
-            self.sums[s, j] = value
-        return value
 
 
 def c_recursion(n: int, i: int, table: KLTable) -> int:
@@ -181,12 +174,12 @@ def c_recursion(n: int, i: int, table: KLTable) -> int:
         (-1)^s C(n, s) sum over 2j+2 <= k <= s of (-1)^k C(s, k) c(k, j).
 
     The inner sum depends on (s, j) alone, so every row n > s shares it:
-    KLTable.alternating_sum computes it once per table.
+    KLTable fills table.sums[s, j] once, from row s's signed Pascal row.
 
-    Lower coefficients are read from `table`, which must hold every row
-    below n.  Every lookup satisfies 2j <= k - 2, so the stored band is
-    enough and the vanishing convention never hides a value the sum
-    actually needs.
+    `table` was built to at least n, or is being built and has completed
+    every row below n.  Every inner-sum term satisfies 2j <= k - 2, so the
+    stored band is enough and the vanishing convention never hides a value
+    the sum actually needs.
 
     The vanishing rule is applied to the queried cell as well: the double
     sum characterizes the coefficients only below the vanishing threshold
@@ -202,7 +195,7 @@ def c_recursion(n: int, i: int, table: KLTable) -> int:
     acc = (-1) ** i * math.comb(n, i)
     for j in range(i):
         s = i + j + 1
-        weighted = math.comb(n, s) * table.alternating_sum(s, j)
+        weighted = math.comb(n, s) * table.sums[s, j]
         acc += -weighted if s & 1 else weighted
     return acc
 

@@ -41,11 +41,6 @@ class UniPoly:
         """Degree of the polynomial; the zero polynomial has degree -1."""
         return len(self.coeffs) - 1
 
-    def coeff(self, exp):
-        if 0 <= exp < len(self.coeffs):
-            return self.coeffs[exp]
-        return 0
-
     def reverse(self, degree):
         """Coefficient reversal t**degree * p(1/t); requires deg p <= degree."""
         if self.degree > degree:

@@ -105,38 +105,35 @@ class USeries:
         """Multiplicative inverse; the u^0 coefficient must be the constant
         1 or -1, the units of Z[t].  Uses the triangular recurrence
         r_k = -s_0 * sum_{j>=1} s_j r_{k-j}."""
-        lead = self.coeffs[0].coeff(0)
-        if self.coeffs[0].degree != 0 or lead not in (1, -1):
+        unit = self.coeffs[0]
+        if unit.coeffs not in ((1,), (-1,)):
             raise ValueError("u^0 coefficient must be the constant 1 or -1")
-        out = [UniPoly((lead,))]
+        out = [unit]
         for k in range(1, self.order):
             acc = UniPoly()
             for j in range(1, k + 1):
                 sj = self.coeffs[j]
                 if sj and out[k - j]:
                     acc += sj * out[k - j]
-            out.append(acc * -lead)
+            out.append(acc * -unit)
         return USeries(self.order, out)
 
     def sqrt(self) -> "USeries":
-        """Square root with constant term 1, by the triangular recurrence
-        r_k = (s_k - sum_{0<j<k} r_j r_{k-j}) / 2, each cross product made once
-        for j < k/2 and doubled.  Each halving is an exact division, so
-        ArithmeticError is raised when the root is not in Z[t][[u]]; the
-        result is verified by squaring before it is returned."""
+        """Square root with constant term 1, from the differential equation
+        2 s y' = s' y of y = sqrt(s): its u^(k-1) coefficient gives
+            2k y_k = sum over 0 < m <= k of (3m - 2k) s_m y_(k-m),
+        one product per nonzero s_m.  The first coefficient outside Z[t]
+        leaves a remainder in its exact division by 2k, which raises
+        ArithmeticError; the result is verified by squaring."""
         if self.coeffs[0] != UniPoly((1,)):
             raise ValueError("u^0 coefficient must be 1")
-        two = UniPoly((2,))
         root = [self.coeffs[0]]
         for k in range(1, self.order):
-            half = UniPoly()
-            for j in range(1, (k + 1) // 2):
-                if root[j] and root[k - j]:
-                    half += root[j] * root[k - j]
-            cross = 2 * half
-            if not k & 1:
-                cross += root[k // 2] * root[k // 2]
-            root.append((self.coeffs[k] - cross).divexact(two))
+            acc = UniPoly()
+            for m in range(1, k + 1):
+                if self.coeffs[m]:
+                    acc += self.coeffs[m] * root[k - m] * (3 * m - 2 * k)
+            root.append(acc.divexact(UniPoly((2 * k,))))
         out = USeries(self.order, root)
         if out * out != self:
             raise ArithmeticError("square root does not square back to the input")

@@ -340,6 +340,16 @@ def test_verify_chords_refuses_bound_above_cap(capsys, monkeypatch):
     assert err == "error: suite chords: m_max=13 exceeds the enumeration cap 12\n"
 
 
+@pytest.mark.parametrize("order", ["-1", "0", "1"])
+def test_verify_functional_eq_names_the_least_order(capsys, order):
+    # the series constructor refuses order < 1 on its own; the suite's
+    # message must come first, so every order below 2 reads the same
+    code, out, err = run(capsys, "verify", "functional-eq", "--order", order)
+    assert code == 2
+    assert out == ""
+    assert err == "error: suite functional-eq: order must be at least 2, got %s\n" % order
+
+
 @pytest.mark.parametrize(
     "suite, flag", [("chords", "--n-max"), ("epw2", "--order"), ("functional-eq", "--m-max")]
 )

@@ -72,13 +72,6 @@ def test_basic_arithmetic():
     assert t ** 0 == 1
 
 
-def test_coeff_lookup_out_of_range():
-    p = UniPoly([3, 1])
-    assert p.coeff(0) == 3
-    assert p.coeff(5) == 0
-    assert p.coeff(-1) == 0
-
-
 def test_reverse():
     p = UniPoly([1, 14, 21])
     assert p.reverse(6) == UniPoly([0, 0, 0, 0, 21, 14, 1])

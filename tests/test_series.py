@@ -149,6 +149,27 @@ def test_sqrt_requires_unit_constant():
         USeries(3, [0, 1]).sqrt()
 
 
+def test_sqrt_of_dissection_radicand_matches_legendre_recurrence():
+    # y = sqrt(1 - 2au + u^2), a = 2t + 1, solves (1 - 2au + u^2) y' = (u - a) y:
+    # (k+1) y_(k+1) = (2k-1) a y_k - (k-2) y_(k-1), y_0 = 1, y_1 = -a
+    order = 80
+    a = UniPoly([1, 2])
+    y = [UniPoly([1]), -a]
+    for k in range(1, order - 1):
+        y.append(((2 * k - 1) * a * y[k] - (k - 2) * y[k - 1]).divexact(UniPoly([k + 1])))
+    assert USeries(order, [1, -2 * a, 1]).sqrt() == USeries(order, y)
+
+
+def test_sqrt_of_square_with_four_terms():
+    r = USeries(ORDER, [1, UniPoly([0, 1]), 1])  # 1 + tu + u^2
+    square = r * r  # four nonzero s_m past s_0, so four products per step
+    assert sum(1 for c in square.coeffs[1:] if c) == 4
+    assert square.sqrt() == r
+    # a u^3 term makes the u^3 coefficient of the root 1/2
+    with pytest.raises(ArithmeticError):
+        (square + USeries.monomial(ORDER, 3)).sqrt()
+
+
 @given(series)
 def test_sqrt_roundtrip(r):
     r = r + USeries.monomial(ORDER, 0, -r.coeffs[0] + 1)
@@ -219,10 +240,10 @@ def test_beckwith_f_frozen_rows():
 def test_beckwith_f_counts_dissections():
     f = beckwith_f(9)
     for m in range(3, 10):
-        row = f.coeffs[m - 1]
+        row = f.coeffs[m - 1].coeffs + (0,)
         for k in range(m - 1):
-            assert row.coeff(k) == d_cayley(m, k), (m, k)
-            assert row.coeff(k) == d_bruteforce(m, k), (m, k)
+            assert row[k] == d_cayley(m, k), (m, k)
+            assert row[k] == d_bruteforce(m, k), (m, k)
 
 
 def test_g_series_matches_phi():
