@@ -16,7 +16,8 @@ from collections import namedtuple
 
 from .polynomial import UniPoly
 
-D_BRUTEFORCE_MAX_M = 12
+# the memoised count of the 16-gon takes about 0.15 s and 24 MiB of memo
+D_BRUTEFORCE_MAX_M = 16
 
 __all__ = [
     "c_closed",
@@ -88,12 +89,14 @@ def diagonals_cross(d, e) -> bool:
 
 
 def d_bruteforce(m: int, k: int) -> int:
-    """Count k-element non-crossing diagonal sets by backtracking.
+    """Count k-element non-crossing diagonal sets from the crossing relation.
 
-    Serves as an enumeration oracle for d_cayley.  One cached walk visits
-    every non-crossing set of the m-gon and counts them by size, so
-    polygons are capped at D_BRUTEFORCE_MAX_M = 12 sides, where the walk
-    takes about 0.2 s.
+    Serves as an enumeration oracle for d_cayley: it reads only
+    polygon_diagonals and diagonals_cross.  One cached count per m-gon
+    splits on each diagonal in turn (left out, or taken with every diagonal
+    it crosses), memoised on the set of diagonals still free.  The number
+    of such sets still grows exponentially, so polygons are capped at
+    D_BRUTEFORCE_MAX_M = 16 sides, where the count takes about 0.15 s.
     """
     if m < 3:
         raise ValueError("need m >= 3, got m=%d" % m)
@@ -108,7 +111,7 @@ def d_bruteforce(m: int, k: int) -> int:
 @functools.cache
 def _dissection_counts(m: int):
     """Tuple whose entry k is the number of k-element non-crossing diagonal
-    sets of the m-gon, from one walk over all of them."""
+    sets of the m-gon, from the crossing relation alone."""
     diags = polygon_diagonals(m)
     # blockers[x] has bit y set when diagonal y crosses diagonal x
     blockers = [0] * len(diags)
@@ -117,19 +120,31 @@ def _dissection_counts(m: int):
             if diagonals_cross(diags[x], diags[y]):
                 blockers[x] |= 1 << y
                 blockers[y] |= 1 << x
-    counts = [0] * (len(diags) + 1)
+    # the memo is local, so it is freed when this call returns
+    counts = _noncrossing_counts((1 << len(diags)) - 1, blockers, {0: (1,)})
+    return counts + (0,) * (len(diags) + 1 - len(counts))
 
-    def walk(free, size):
-        # free: bitmask of the diagonals above the last one taken that cross
-        # none taken so far; each set is reached once, in increasing order
-        counts[size] += 1
-        while free:
-            low = free & -free
-            free ^= low
-            walk(free & ~blockers[low.bit_length() - 1], size + 1)
 
-    walk((1 << len(diags)) - 1, 0)
-    return tuple(counts)
+def _noncrossing_counts(free, blockers, memo):
+    """Tuple whose entry k is the number of k-element subsets of the
+    diagonal bitmask `free` in which no two cross.
+
+    Such a subset either leaves out the lowest diagonal of `free`, or takes
+    it and draws the rest from the free diagonals that do not cross it.
+    `memo` maps each free set met so far to its counts; the recursion is at
+    most one level deep per diagonal.
+    """
+    if free in memo:
+        return memo[free]
+    low = free & -free
+    rest = free ^ low
+    without = _noncrossing_counts(rest, blockers, memo)
+    taken = _noncrossing_counts(rest & ~blockers[low.bit_length() - 1], blockers, memo)
+    out = list(without) + [0] * (len(taken) + 1 - len(without))
+    for k, c in enumerate(taken, 1):
+        out[k] += c
+    memo[free] = out = tuple(out)
+    return out
 
 
 class KLTable:
@@ -175,6 +190,7 @@ def c_recursion(n: int, i: int, table: KLTable) -> int:
 
     The inner sum depends on (s, j) alone, so every row n > s shares it:
     KLTable fills table.sums[s, j] once, from row s's signed Pascal row.
+    As j steps, s = i+j+1 steps by one, so C(n, s) is stepped from C(n, i).
 
     `table` was built to at least n, or is being built and has completed
     every row below n.  Every inner-sum term satisfies 2j <= k - 2, so the
@@ -192,10 +208,12 @@ def c_recursion(n: int, i: int, table: KLTable) -> int:
         raise ValueError("need i >= 0, got i=%d" % i)
     if 2 * i >= n - 1:
         return 0
-    acc = (-1) ** i * math.comb(n, i)
+    weight = math.comb(n, i)
+    acc = (-1) ** i * weight
     for j in range(i):
         s = i + j + 1
-        weighted = math.comb(n, s) * table.sums[s, j]
+        weight = weight * (n - s + 1) // s  # C(n, s) from C(n, s-1), exactly
+        weighted = weight * table.sums[s, j]
         acc += -weighted if s & 1 else weighted
     return acc
 

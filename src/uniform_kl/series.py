@@ -124,7 +124,9 @@ class USeries:
             2k y_k = sum over 0 < m <= k of (3m - 2k) s_m y_(k-m),
         one product per nonzero s_m.  The first coefficient outside Z[t]
         leaves a remainder in its exact division by 2k, which raises
-        ArithmeticError; the result is verified by squaring."""
+        ArithmeticError; the result is verified by squaring, each cross
+        product made once: the u^k coefficient of the square is twice the
+        sum of y_i y_(k-i) over i < k-i, plus y_(k/2)^2 for even k."""
         if self.coeffs[0] != UniPoly((1,)):
             raise ValueError("u^0 coefficient must be 1")
         root = [self.coeffs[0]]
@@ -134,10 +136,17 @@ class USeries:
                 if self.coeffs[m]:
                     acc += self.coeffs[m] * root[k - m] * (3 * m - 2 * k)
             root.append(acc.divexact(UniPoly((2 * k,))))
-        out = USeries(self.order, root)
-        if out * out != self:
-            raise ArithmeticError("square root does not square back to the input")
-        return out
+        for k, target in enumerate(self.coeffs):
+            square = UniPoly()
+            for i in range((k + 1) // 2):
+                if root[i] and root[k - i]:
+                    square += root[i] * root[k - i]
+            square *= 2
+            if k % 2 == 0:
+                square += root[k // 2] * root[k // 2]
+            if square != target:
+                raise ArithmeticError("square root does not square back to the input")
+        return USeries(self.order, root)
 
     def substitute(self, inner: "USeries") -> "USeries":
         """Compose, replacing u by `inner`; `inner` must have zero constant

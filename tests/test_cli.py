@@ -332,12 +332,12 @@ def test_verify_chords_refuses_bound_above_cap(capsys, monkeypatch):
     def no_case(m, k):
         raise AssertionError("a case ran before the bound was refused")
 
-    # d_bruteforce stops at 12-gons; the refusal must come before any case runs
+    # d_bruteforce stops at 16-gons; the refusal must come before any case runs
     monkeypatch.setattr(cli, "d_bruteforce", no_case)
-    code, out, err = run(capsys, "verify", "chords", "--m-max", "13")
+    code, out, err = run(capsys, "verify", "chords", "--m-max", "17")
     assert code == 2
     assert out == ""
-    assert err == "error: suite chords: m_max=13 exceeds the enumeration cap 12\n"
+    assert err == "error: suite chords: m_max=17 exceeds the enumeration cap 16\n"
 
 
 @pytest.mark.parametrize("order", ["-1", "0", "1"])

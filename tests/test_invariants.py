@@ -55,7 +55,12 @@ expect("sqrt halving", lambda: USeries(4, [1, 1]).sqrt())
 expect(
     "sqrt squaring",
     lambda: USeries(4, [1, -2, 1]).sqrt(),
-    mock.patch.object(USeries, "__mul__", lambda self, other: USeries(self.order)),
+    # add 1 to the last root coefficient y_3 (divided by 2k = 6), which no step reads
+    mock.patch.object(
+        UniPoly,
+        "divexact",
+        lambda self, other, exact=UniPoly.divexact: exact(self, other) + (1 if other == 6 else 0),
+    ),
 )
 expect(
     "beckwith_f integrality",

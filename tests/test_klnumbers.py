@@ -158,9 +158,30 @@ def test_d_bruteforce_walks_each_polygon_once():
         assert sum(d_bruteforce(m, k) for k in ks) == sum(d_cayley(m, k) for k in ks), m
 
 
+def test_dissection_counts_match_cayley_to_the_cap():
+    for m in range(3, klnumbers.D_BRUTEFORCE_MAX_M + 1):
+        counts = klnumbers._dissection_counts(m)
+        assert list(counts) == [d_cayley(m, k) for k in range(len(counts))], m
+        assert len(counts) == m * (m - 3) // 2 + 1
+
+
+def test_dissection_counts_read_the_crossing_relation(monkeypatch):
+    # with one crossing pair of the hexagon made compatible, some count moves,
+    # so the counts come from the relation and not from a formula
+    dropped = {(0, 2), (1, 3)}
+
+    def one_crossing_less(d, e):
+        return {d, e} != dropped and diagonals_cross(d, e)
+
+    monkeypatch.setattr(klnumbers, "diagonals_cross", one_crossing_less)
+    counts = klnumbers._dissection_counts.__wrapped__(6)  # bypass the cache
+    assert list(counts) != [d_cayley(6, k) for k in range(len(counts))]
+
+
 def test_d_bruteforce_cap():
+    assert d_bruteforce(16, 13) == d_cayley(16, 13)
     with pytest.raises(ValueError):
-        d_bruteforce(13, 1)
+        d_bruteforce(17, 1)
     with pytest.raises(ValueError):
         d_bruteforce(2, 0)
 

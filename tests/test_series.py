@@ -170,6 +170,20 @@ def test_sqrt_of_square_with_four_terms():
         (square + USeries.monomial(ORDER, 3)).sqrt()
 
 
+def test_sqrt_squaring_check_catches_one_corrupted_coefficient(monkeypatch):
+    # the last root coefficient y_9 (divided by 2k = 18) is read by no later
+    # step, so only the closing squaring check can see it is wrong
+    divexact = UniPoly.divexact
+
+    def off_by_one_at_u9(self, other):
+        out = divexact(self, other)
+        return out + 1 if other == 18 else out
+
+    monkeypatch.setattr(UniPoly, "divexact", off_by_one_at_u9)
+    with pytest.raises(ArithmeticError, match="does not square back"):
+        USeries(10, [1, -4]).sqrt()
+
+
 @given(series)
 def test_sqrt_roundtrip(r):
     r = r + USeries.monomial(ORDER, 0, -r.coeffs[0] + 1)
