@@ -1,9 +1,12 @@
 """Partition combinatorics and the virtual representation ring of the
 symmetric groups.
 
-Dimensions come from the hook-length formula, products of irreducibles
-from the Littlewood-Richardson rule as a sequence of horizontal strips, and
-single coefficients, for reference, from tableau backtracking.
+Dimensions come from the hook-length formula and products of irreducibles
+from the Littlewood-Richardson rule: a product with a hook factor, the
+only kind the character engine makes, counts one horizontal and one
+vertical strip per shape; any other product grows a sequence of
+horizontal strips.  Single coefficients come, for reference, from tableau
+backtracking.
 On top of that sits the stratification recursion that assembles the
 intersection-cohomology characters whose dimensions are the
 Kazhdan-Lusztig coefficients, plus the two-coefficient check that makes
@@ -276,15 +279,56 @@ def _lr_states(mu, lam):
     return states
 
 
+def _hook_product(hook, lam, mult, out):
+    """Add mult * c^nu_{hook,lam} to out[nu] for every nu, for a hook
+    [a, 1^b] (the empty partition is the hook with a = b = 0).
+
+    An LR filling of nu/lam with that content puts its 1s on a horizontal
+    strip kappa/lam of a cells and labels 2..b+1 one per row down the
+    vertical strip nu/kappa, each at the end of its row; its reading word
+    is a lattice word exactly when the first strip row lies strictly below
+    the first row holding a 1.  Rows are filled top to bottom.  The strip
+    bounds of the rows below row r telescope to lam[r], so kappa[r] is at
+    least the number of 1s still to place.  The row below lam takes the 1s
+    that are left, and the labels that are left go down column 0.
+    """
+    head = hook[0] if hook else 0
+
+    def fill(r, ones, labels, nu):
+        if r == len(lam):
+            if ones or not labels:
+                key = nu + ((ones,) if ones else ()) + (1,) * labels
+                out[key] = out.get(key, 0) + mult
+            if labels and ones < head and (not r or ones < nu[-1]):
+                key = nu + (ones + 1,) + (1,) * (labels - 1)
+                out[key] = out.get(key, 0) + mult
+            return
+        hi = min(ones, lam[r - 1] - lam[r]) if r else ones
+        for x in range(max(0, ones - lam[r]), hi + 1):
+            kappa = lam[r] + x
+            fill(r + 1, ones - x, labels, nu + (kappa,))
+            if labels and ones < head and (not r or kappa < nu[-1]):
+                fill(r + 1, ones - x, labels - 1, nu + (kappa + 1,))
+
+    fill(0, head, max(len(hook) - 1, 0), ())
+
+
 def induce_product(left: VirtualRep, right: VirtualRep) -> VirtualRep:
     """Product induced from the direct product of two symmetric groups, by
     the Littlewood-Richardson rule; bilinear in the two virtual
-    representations."""
+    representations.  A pair with a hook factor is counted by the
+    two-strip rule of _hook_product, any other pair by _lr_states."""
     out = {}
     for mu, cm in left.terms.items():
         for lam, cl in right.terms.items():
-            for (nu, _), c in _lr_states(mu, lam).items():
-                out[nu] = out.get(nu, 0) + cm * cl * c
+            # a hook [a, 1^b] has no second part above 1
+            if len(mu) < 2 or mu[1] == 1:
+                _hook_product(mu, lam, cm * cl, out)
+            elif len(lam) < 2 or lam[1] == 1:
+                _hook_product(lam, mu, cm * cl, out)
+            else:
+                for (nu, _), c in _lr_states(mu, lam).items():
+                    out[nu] = out.get(nu, 0) + cm * cl * c
     return VirtualRep(left.n + right.n, out)
 
 

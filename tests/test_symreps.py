@@ -3,8 +3,9 @@
 hook_dimension is checked against a standard-tableau counting DP, and the
 LR backtracker against a filter over every possible filling.  The
 backtracker is then the reference for induce_product, which builds each
-product by the Littlewood-Richardson rule as a sequence of horizontal
-strips and never calls it.
+product by the Littlewood-Richardson rule (one horizontal and one vertical
+strip for a hook factor, a sequence of horizontal strips otherwise) and
+never calls it.
 """
 
 from fractions import Fraction
@@ -324,6 +325,16 @@ def test_induce_product_bilinear():
     lhs = induce_product(a - b, c)
     rhs = induce_product(a, c) - induce_product(b, c)
     assert lhs == rhs
+    # several terms on both sides, a non-hook first on each, so a factor
+    # swap for one hook pair would leak into the pairs after it
+    left = VirtualRep(4, {(2, 2): 1, (3, 1): -1, (1, 1, 1, 1): 2})
+    right = VirtualRep(5, {(3, 2): 2, (5,): 1, (2, 1, 1, 1): -1, (2, 2, 1): 1})
+    for x, y in ((left, right), (right, left)):
+        expected = VirtualRep(9)
+        for mu, cm in x.terms.items():
+            for lam, cl in y.terms.items():
+                expected = expected + cm * cl * induce_product(irreducible(mu), irreducible(lam))
+        assert induce_product(x, y) == expected
 
 
 def assert_product_matches_lr(mu, lam):
@@ -370,6 +381,20 @@ def test_ih_rep_needs_no_lr_search(monkeypatch):
     for n in range(2, 15):
         for i in range((n - 2) // 2 + 1):
             assert ih_rep(n, i).terms == {Partition((n - 2 * i,) + (2,) * i): 1}, (n, i)
+
+
+def test_hook_products_bypass_the_general_rule(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a hook product reached _lr_states")
+
+    monkeypatch.setattr(symreps, "_lr_states", refuse)
+    ih_rep.cache_clear()
+    for n in range(2, 21):
+        for i in range((n - 2) // 2 + 1):
+            assert ih_rep(n, i).terms == {Partition((n - 2 * i,) + (2,) * i): 1}, (n, i)
+    # a pair without a hook still takes the general rule
+    with pytest.raises(AssertionError, match="_lr_states"):
+        induce_product(irreducible((2, 2)), irreducible((2, 2)))
 
 
 @settings(max_examples=40, deadline=None)
