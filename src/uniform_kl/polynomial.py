@@ -124,8 +124,10 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        if type(k) is not int:
+            raise TypeError("exponent must be int, got %s" % type(k).__name__)
+        if k < 0:
+            raise ValueError("exponent must be nonnegative, got %d" % k)
         out = UniPoly((1,))
         for _ in range(k):
             out = out * self

@@ -2,10 +2,9 @@
 symmetric groups.
 
 Dimensions come from the hook-length formula and products of irreducibles
-from the Littlewood-Richardson rule: a product with a hook factor, the
-only kind the character engine makes, counts one horizontal and one
-vertical strip per shape; any other product grows a sequence of
-horizontal strips.  Single coefficients come, for reference, from tableau
+from the Littlewood-Richardson rule for a hook factor, the only kind the
+character engine makes: one horizontal and one vertical strip per shape.
+Single coefficients of any shape come, for reference, from tableau
 backtracking.
 On top of that sits the stratification recursion that assembles the
 intersection-cohomology characters whose dimensions are the
@@ -246,39 +245,6 @@ class VirtualRep:
         return "VirtualRep<S_%d: %s>" % (self.n, self)
 
 
-def _lr_states(mu, lam):
-    """The Littlewood-Richardson rule in iterated-Pieri form (Macdonald,
-    Symmetric Functions and Hall Polynomials, I.5 and I.9): lam grows by a
-    horizontal strip of mu[0] cells labelled 1, then of mu[1] cells labelled
-    2, and so on; on a hook mu this is Pieri's rule.  States are (shape,
-    cells the previous label put in each row) with multiplicities; those of
-    shape nu sum to c^nu_{mu,lam}.  The reverse reading word is a lattice
-    word exactly when, after each row r, the new label's cells in rows <= r
-    number at most the previous label's cells in rows < r.
-    """
-    states = {(tuple(lam), ()): 1}
-    for label, size in enumerate(mu):
-        grown = {}
-        for (shape, prev), mult in states.items():
-            rows = shape + (0,)
-            # (cells added per row so far, cells still to add, lattice slack)
-            partial = [((), size, size if label == 0 else 0)]
-            for r in range(len(rows)):
-                room = rows[r - 1] - rows[r] if r else size
-                back = prev[r] if r < len(prev) else 0
-                partial = [
-                    (added + (a,), left - a, slack - a + back)
-                    for added, left, slack in partial
-                    for a in range(min(left, room, slack) + 1)
-                ]
-            for added, left, _ in partial:
-                if not left:
-                    nu = tuple(x + a for x, a in zip(rows, added) if x + a)
-                    grown[nu, added] = grown.get((nu, added), 0) + mult
-        states = grown
-    return states
-
-
 def _hook_product(hook, lam, mult, out):
     """Add mult * c^nu_{hook,lam} to out[nu] for every nu, for a hook
     [a, 1^b] (the empty partition is the hook with a = b = 0).
@@ -316,19 +282,16 @@ def _hook_product(hook, lam, mult, out):
 def induce_product(left: VirtualRep, right: VirtualRep) -> VirtualRep:
     """Product induced from the direct product of two symmetric groups, by
     the Littlewood-Richardson rule; bilinear in the two virtual
-    representations.  A pair with a hook factor is counted by the
-    two-strip rule of _hook_product, any other pair by _lr_states."""
+    representations.  Every term of left must be a hook, as every term of
+    an exterior power is; each pair is counted by the two-strip rule of
+    _hook_product."""
     out = {}
     for mu, cm in left.terms.items():
+        # a hook [a, 1^b] has no second part above 1
+        if len(mu) > 1 and mu[1] > 1:
+            raise ValueError("left factor term %r is not a hook" % (tuple(mu),))
         for lam, cl in right.terms.items():
-            # a hook [a, 1^b] has no second part above 1
-            if len(mu) < 2 or mu[1] == 1:
-                _hook_product(mu, lam, cm * cl, out)
-            elif len(lam) < 2 or lam[1] == 1:
-                _hook_product(lam, mu, cm * cl, out)
-            else:
-                for (nu, _), c in _lr_states(mu, lam).items():
-                    out[nu] = out.get(nu, 0) + cm * cl * c
+            _hook_product(mu, lam, cm * cl, out)
     return VirtualRep(left.n + right.n, out)
 
 

@@ -72,6 +72,16 @@ def test_basic_arithmetic():
     assert t ** 0 == 1
 
 
+def test_power_takes_only_nonnegative_int_exponents():
+    t = UniPoly([0, 1])
+    # a bool is no int exponent, though t ** True would be t
+    for k in (True, False, 2.0, 0.5, Fraction(2)):
+        with pytest.raises(TypeError):
+            t ** k
+    with pytest.raises(ValueError):
+        t ** -1
+
+
 def test_reverse():
     p = UniPoly([1, 14, 21])
     assert p.reverse(6) == UniPoly([0, 0, 0, 0, 21, 14, 1])

@@ -2,10 +2,10 @@
 
 hook_dimension is checked against a standard-tableau counting DP, and the
 LR backtracker against a filter over every possible filling.  The
-backtracker is then the reference for induce_product, which builds each
-product by the Littlewood-Richardson rule (one horizontal and one vertical
-strip for a hook factor, a sequence of horizontal strips otherwise) and
-never calls it.
+backtracker is then the reference for induce_product, which multiplies a
+hook by any shape with the Littlewood-Richardson rule (one horizontal and
+one vertical strip per shape), refuses a left factor that is not a hook,
+and never calls the backtracker.
 """
 
 from fractions import Fraction
@@ -114,6 +114,16 @@ small_partitions = st.builds(sorted_partition, st.lists(st.integers(1, 4), max_s
 
 def irreducible(lam):
     return VirtualRep(sum(lam), {Partition(lam): 1})
+
+
+def hooks_of(size):
+    """The hooks [size-b, 1^b]; the empty partition is the one hook of 0."""
+    if not size:
+        return [Partition()]
+    return [Partition((size - b,) + (1,) * b) for b in range(size)]
+
+
+hooks_strategy = st.integers(0, 6).flatmap(lambda size: st.sampled_from(hooks_of(size)))
 
 
 # -------------------------------------------------------------- partitions
@@ -325,16 +335,14 @@ def test_induce_product_bilinear():
     lhs = induce_product(a - b, c)
     rhs = induce_product(a, c) - induce_product(b, c)
     assert lhs == rhs
-    # several terms on both sides, a non-hook first on each, so a factor
-    # swap for one hook pair would leak into the pairs after it
-    left = VirtualRep(4, {(2, 2): 1, (3, 1): -1, (1, 1, 1, 1): 2})
+    # several hook terms on the left times a mix of hooks and non-hooks
+    left = VirtualRep(4, {(3, 1): -1, (4,): 1, (1, 1, 1, 1): 2, (2, 1, 1): 3})
     right = VirtualRep(5, {(3, 2): 2, (5,): 1, (2, 1, 1, 1): -1, (2, 2, 1): 1})
-    for x, y in ((left, right), (right, left)):
-        expected = VirtualRep(9)
-        for mu, cm in x.terms.items():
-            for lam, cl in y.terms.items():
-                expected = expected + cm * cl * induce_product(irreducible(mu), irreducible(lam))
-        assert induce_product(x, y) == expected
+    expected = VirtualRep(9)
+    for mu, cm in left.terms.items():
+        for lam, cl in right.terms.items():
+            expected = expected + cm * cl * induce_product(irreducible(mu), irreducible(lam))
+    assert induce_product(left, right) == expected
 
 
 def assert_product_matches_lr(mu, lam):
@@ -348,13 +356,14 @@ def assert_product_matches_lr(mu, lam):
 
 
 def test_induce_product_matches_lr_coefficient():
+    # every hook times every shape, total size <= 11
     compared = 0
-    for total in range(10):
+    for total in range(12):
         for musize in range(total + 1):
-            for mu in partitions_of(musize):
+            for mu in hooks_of(musize):
                 for lam in partitions_of(total - musize):
                     compared += assert_product_matches_lr(mu, lam)
-    assert compared == 15830
+    assert compared == 52485
 
 
 def test_induce_product_hook_times_ih_shape():
@@ -362,10 +371,9 @@ def test_induce_product_hook_times_ih_shape():
     compared = 0
     for size in range(2, 13):
         for hook_size in range(1, size):
-            hooks = [Partition((hook_size - b,) + (1,) * b) for b in range(hook_size)]
             rest = size - hook_size
             shapes = [Partition.maybe((rest - 2 * j,) + (2,) * j) for j in range(rest // 2 + 1)]
-            for mu in hooks:
+            for mu in hooks_of(hook_size):
                 for lam in filter(None, shapes):
                     compared += assert_product_matches_lr(mu, lam)
     assert compared == 23048
@@ -383,22 +391,17 @@ def test_ih_rep_needs_no_lr_search(monkeypatch):
             assert ih_rep(n, i).terms == {Partition((n - 2 * i,) + (2,) * i): 1}, (n, i)
 
 
-def test_hook_products_bypass_the_general_rule(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a hook product reached _lr_states")
-
-    monkeypatch.setattr(symreps, "_lr_states", refuse)
-    ih_rep.cache_clear()
-    for n in range(2, 21):
-        for i in range((n - 2) // 2 + 1):
-            assert ih_rep(n, i).terms == {Partition((n - 2 * i,) + (2,) * i): 1}, (n, i)
-    # a pair without a hook still takes the general rule
-    with pytest.raises(AssertionError, match="_lr_states"):
-        induce_product(irreducible((2, 2)), irreducible((2, 2)))
+def test_induce_product_needs_a_hook_on_the_left():
+    with pytest.raises(ValueError, match=r"\(2, 2\)"):
+        induce_product(irreducible((2, 2)), irreducible((1,)))
+    # the same pair with the hook on the left
+    assert induce_product(irreducible((1,)), irreducible((2, 2))) == VirtualRep(
+        5, {(3, 2): 1, (2, 2, 1): 1}
+    )
 
 
 @settings(max_examples=40, deadline=None)
-@given(partitions_strategy, partitions_strategy)
+@given(hooks_strategy, partitions_strategy)
 def test_induce_dimension_bilinearity(mu, lam):
     n = mu.size + lam.size
     out = induce_product(irreducible(mu), irreducible(lam))
@@ -418,6 +421,15 @@ def test_exterior_rho_frozen():
     assert exterior_rho(3, 4) == VirtualRep(3)
     with pytest.raises(ValueError):
         exterior_rho(0, 0)
+
+
+def test_exterior_rho_terms_are_hooks():
+    # induce_product takes an exterior power as its left factor only
+    # because every term of one is a hook
+    for m in range(1, 31):
+        for k in range(-1, m + 2):
+            for lam in exterior_rho(m, k).terms:
+                assert lam in hooks_of(m), (m, k, lam)
 
 
 def test_exterior_rho_dimensions():
