@@ -98,8 +98,6 @@ def d_bruteforce(m: int, k: int) -> int:
     of such sets still grows exponentially, so polygons are capped at
     D_BRUTEFORCE_MAX_M = 16 sides, where the count takes about 0.15 s.
     """
-    if m < 3:
-        raise ValueError("need m >= 3, got m=%d" % m)
     if m > D_BRUTEFORCE_MAX_M:
         raise ValueError("m=%d exceeds the enumeration cap %d" % (m, D_BRUTEFORCE_MAX_M))
     counts = _dissection_counts(m)
@@ -299,8 +297,6 @@ def check_logconcave(n: int):
     Returns the triple for every interior index 0 < i < floor(n/2) - 1;
     an empty list means the statement is vacuous for this n.
     """
-    if n < 2:
-        raise ValueError("need n >= 2, got n=%d" % n)
     row = kl_poly(n).coeffs
     return [
         LogConcaveTriple(n, i, row[i - 1], row[i], row[i + 1])

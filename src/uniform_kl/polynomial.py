@@ -57,14 +57,10 @@ class UniPoly:
         is left or the quotient would need a non-integer coefficient."""
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
-        if not self:
-            return UniPoly()
         div = other.coeffs
         dd = len(div) - 1
         lead = div[-1]
         rem = list(self.coeffs)
-        if len(rem) - 1 < dd:
-            raise ArithmeticError("%s is not divisible by %s" % (self, other))
         quot = [0] * (len(rem) - dd)
         for pos in range(len(quot) - 1, -1, -1):
             q, r = divmod(rem[pos + dd], lead)
@@ -110,8 +106,6 @@ class UniPoly:
             return UniPoly([c * other for c in self.coeffs])
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return UniPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:

@@ -40,17 +40,6 @@ class USeries:
         self.order = order
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def one(cls, order):
-        return cls(order, (1,))
-
-    @classmethod
-    def monomial(cls, order, exp, coeff=1):
-        """coeff * u^exp; `coeff` may be a scalar or a UniPoly in t."""
-        if not 0 <= exp < order:
-            raise ValueError("exponent %d outside truncation order %d" % (exp, order))
-        return cls(order, [0] * exp + [coeff])
-
     def _same_order(self, other):
         if self.order != other.order:
             raise ValueError(
@@ -67,7 +56,7 @@ class USeries:
 
     def __add__(self, other):
         if isinstance(other, (int, UniPoly)):
-            other = USeries.monomial(self.order, 0, other)
+            other = USeries(self.order, [other])
         if not isinstance(other, USeries):
             return NotImplemented
         self._same_order(other)
@@ -193,7 +182,7 @@ def beckwith_f(order: int) -> USeries:
     """
     a = UniPoly((1, 2))  # 2t + 1
     radicand = USeries(order, [UniPoly((1,)), -2 * a, UniPoly((1,))][:order])
-    numerator = (USeries(order, [UniPoly(), a][:order]) + radicand.sqrt() - 1) * 2
+    numerator = (USeries(order, [-1, a][:order]) + radicand.sqrt()) * 2
     denominator = UniPoly((0, -4, -4))
     return USeries(order, [c.divexact(denominator) for c in numerator.coeffs])
 
@@ -220,10 +209,11 @@ def check_functional_equation(order: int, phi: USeries | None = None) -> USeries
     The left side has u^(n-1) coefficient t^(n-1) P_n(1/t), built by
     polynomial reversal.  The right side is
         (t-1)u / ((1-tu+u)(1+u)) + (1-tu+u)^(-2) * Phi(t, u/(1-tu+u)),
-    the first term by series inversion and the second by the closed
-    binomial expansion of _mobius_twist.  Returns the difference, which
-    must be the zero series.  `phi` defaults to the table series and may be
-    replaced by any candidate of the same order.
+    the first term by inverting the expanded denominator
+    1 + (2-t)u + (1-t)u^2 and the second by the closed binomial expansion
+    of _mobius_twist.  Returns the difference, which must be the zero
+    series.  `phi` defaults to the table series and may be replaced by any
+    candidate of the same order.
     """
     if order < 2:
         raise ValueError("order must be at least 2, got %d" % order)
@@ -236,10 +226,8 @@ def check_functional_equation(order: int, phi: USeries | None = None) -> USeries
     # row of too high a degree must show up in the residual, not raise.
     lhs = USeries(order, [c.reverse(m) for m, c in enumerate(table.coeffs)])
 
-    one = USeries.one(order)
-    u = USeries.monomial(order, 1)
-    d = one + USeries.monomial(order, 1, UniPoly((1, -1)))  # 1 - tu + u
-    first = USeries.monomial(order, 1, UniPoly((-1, 1))) * (d * (one + u)).inverse()
+    denominator = USeries(order, [1, UniPoly((2, -1)), UniPoly((1, -1))][:order])
+    first = USeries(order, [0, UniPoly((-1, 1))]) * denominator.inverse()
     return lhs - (first + _mobius_twist(phi))
 
 

@@ -58,7 +58,7 @@ class Partition(tuple):
         produce an out-of-range shape.
         """
         parts = tuple(parts)
-        return cls(parts) if _weakly_decreasing_positive(parts) else None
+        return tuple.__new__(cls, parts) if _weakly_decreasing_positive(parts) else None
 
     @property
     def size(self) -> int:
@@ -82,8 +82,6 @@ class Partition(tuple):
 @cache
 def partitions_of(n: int):
     """All partitions of n, in descending lexicographic order."""
-    if n < 0:
-        return ()
     out = []
 
     def rec(remaining, largest, prefix):
@@ -102,8 +100,6 @@ def hook_dimension(lam) -> int:
     """Dimension of the irreducible S_n module indexed by lam, by the
     hook-length formula n! / prod(hooks)."""
     lam = Partition(lam)
-    if not lam:
-        return 1
     conj = lam.conjugate()
     hooks = 1
     for r, row in enumerate(lam):
@@ -308,11 +304,8 @@ def exterior_rho(m: int, k: int) -> VirtualRep:
     drops out when its shape is out of range.  Virtual dimension C(m, k)."""
     if m < 1:
         raise ValueError("need m >= 1, got %d" % m)
-    terms = {}
-    for lam in (_hook(m - k, k), _hook(m - k + 1, k - 1)):
-        if lam is not None:
-            terms[lam] = terms.get(lam, 0) + 1
-    return VirtualRep(m, terms)
+    hooks = (_hook(m - k, k), _hook(m - k + 1, k - 1))
+    return VirtualRep(m, {lam: 1 for lam in hooks if lam is not None})
 
 
 @cache

@@ -106,13 +106,20 @@ def _cli_process(*argv, **kwargs):
     )
 
 
-def test_closed_pipe_exits_141_quietly():
-    # 3.8 MB of output, far more than a pipe buffers, so the writer is
-    # still writing when the reader goes away after one line
-    child = _cli_process(
-        "table", "--n-max", "400", stdout=subprocess.PIPE, stderr=subprocess.PIPE
-    )
-    assert child.stdout.readline().startswith(b"n=2: 1")
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        (("table", "--n-max", "400"), b"n=2: 1"),
+        (("table", "--n-max", "400", "--format", "json"), b"["),
+        (("verify", "logconcave", "--n-max", "400", "--format", "json"), b"{"),
+    ],
+)
+def test_closed_pipe_exits_141_quietly(argv, first_line):
+    # 3.8 MB of text, 4.2 MB of table JSON or 25 MB of report JSON, far
+    # more than a pipe buffers, so the writer is still writing when the
+    # reader goes away after one line
+    child = _cli_process(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.readline().startswith(first_line)
     child.stdout.close()
     err = child.stderr.read()
     assert child.wait(timeout=60) == 141

@@ -65,12 +65,12 @@ expect(
 expect(
     "beckwith_f integrality",
     lambda: series.beckwith_f(4),
-    mock.patch.object(USeries, "sqrt", lambda self: USeries.one(self.order)),
+    mock.patch.object(USeries, "sqrt", lambda self: USeries(self.order, [1])),
 )
 expect(
     "g_series vanishing",
     lambda: series.g_series(4),
-    mock.patch.object(series, "beckwith_f", lambda order: USeries.one(order)),
+    mock.patch.object(series, "beckwith_f", lambda order: USeries(order, [1])),
 )
 '''
 

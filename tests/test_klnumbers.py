@@ -182,7 +182,7 @@ def test_d_bruteforce_cap():
     assert d_bruteforce(16, 13) == d_cayley(16, 13)
     with pytest.raises(ValueError):
         d_bruteforce(17, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need m >= 3, got m=2$"):
         d_bruteforce(2, 0)
 
 
@@ -356,6 +356,8 @@ def test_logconcave_frozen_triples():
 def test_logconcave_vacuous_cases():
     assert check_logconcave(2) == []
     assert check_logconcave(5) == []
+    with pytest.raises(ValueError, match="^need n >= 2, got n=1$"):
+        check_logconcave(1)
 
 
 @given(st.integers(2, 40))

@@ -70,6 +70,7 @@ def test_basic_arithmetic():
     assert 2 * t == UniPoly([0, 2])
     assert (t - 1) ** 2 == UniPoly([1, -2, 1])
     assert t ** 0 == 1
+    assert UniPoly() * t == t * UniPoly() == UniPoly() * UniPoly() == 0
 
 
 def test_power_takes_only_nonnegative_int_exponents():
@@ -101,8 +102,11 @@ def test_divexact():
     num = (t - 1) * (t + 2) * 3
     assert num.divexact(t - 1) == 3 * (t + 2)
     assert UniPoly().divexact(t) == 0
+    assert UniPoly().divexact(t * t) == 0
     with pytest.raises(ArithmeticError):
         (t + 1).divexact(t)
+    with pytest.raises(ArithmeticError, match="^1 is not divisible by t$"):
+        UniPoly((1,)).divexact(t)  # dividend of lower degree than the divisor
     with pytest.raises(ArithmeticError):
         (t + 1).divexact(UniPoly([2]))  # the quotient is not in Z[t]
     with pytest.raises(ZeroDivisionError):

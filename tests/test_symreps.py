@@ -143,6 +143,7 @@ def test_partition_construction():
 
 def test_partition_maybe():
     assert Partition.maybe((2, 2)) == (2, 2)
+    assert type(Partition.maybe((2, 2))) is Partition
     assert Partition.maybe((2, 3)) is None
     assert Partition.maybe((0, 1)) is None
     assert Partition.maybe((1, -1)) is None
@@ -169,6 +170,7 @@ def test_contains():
 
 def test_partitions_of():
     assert partitions_of(0) == (Partition(()),)
+    assert partitions_of(-1) == ()
     assert partitions_of(4) == (
         Partition((4,)),
         Partition((3, 1)),
