@@ -9,10 +9,7 @@ Large integers are emitted as decimal strings in JSON, at any length, so
 nothing is lost to floating point.
 """
 
-from __future__ import annotations
-
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -32,10 +29,6 @@ from .klnumbers import (
 )
 from .series import USeries, check_functional_equation, g_series, phi_from_table
 from .symreps import Partition, hook_dimension, ih_rep, lemma_key_check, lemma_key_expected, verify_main2
-
-# Encoder chunks joined per write: one write per chunk is slow, and joining
-# them all holds the whole report in memory.
-_JSON_BATCH = 4096
 
 
 # One verified statement: the inputs, both sides as computed, and the
@@ -143,21 +136,11 @@ def run_suite(name: str, bound=None) -> SuiteReport:
     return SuiteReport(name, cases, sum(1 for c in cases if c.passed), wall_time)
 
 
-def _write_json(payload) -> None:
-    """Write payload as indented JSON plus a newline, the same bytes as
-    print(json.dumps(payload, indent=2)), without holding the whole text:
-    the encoder's chunks are joined and written in batches."""
-    chunks = json.JSONEncoder(indent=2).iterencode(payload)
-    write = sys.stdout.write
-    while True:
-        batch = list(itertools.islice(chunks, _JSON_BATCH))
-        if not batch:
-            break
-        write("".join(batch))
-    write("\n")
-
-
-# The verify report in the layout of json.dumps(payload, indent=2).
+# The table rows and the verify report in the layout of
+# json.dumps(payload, indent=2).  A row's coefficients are decimal strings,
+# which need no escaping, and a row is never empty: it starts at c(n, 0) = 1.
+_TABLE_ROW = '%s\n  {\n    "n": %d,\n    "coeffs": [\n      "%s"\n    ]\n  }'
+_TABLE_COEFF_SEP = '",\n      "'
 _VERIFY_SUITE_HEAD = '%s    {\n      "suite": %s,\n      "cases": [\n'
 _VERIFY_CASE = (
     '%s        {\n          "inputs": %s,\n          "expected": %s,\n'
@@ -202,10 +185,13 @@ def _usage_error(message: str) -> int:
 def cmd_table(args) -> int:
     if args.n_max < 2:
         return _usage_error("--n-max must be at least 2")
-    rows = [(n, kl_poly(n).coeffs) for n in range(2, args.n_max + 1)]
+    rows = ((n, kl_poly(n).coeffs) for n in range(2, args.n_max + 1))
     if args.format == "json":
-        payload = [{"n": n, "coeffs": [str(c) for c in row]} for n, row in rows]
-        _write_json(payload)
+        sep = "["
+        for n, row in rows:
+            sys.stdout.write(_TABLE_ROW % (sep, n, _TABLE_COEFF_SEP.join(map(str, row))))
+            sep = ","
+        sys.stdout.write("\n]\n")
     elif args.format == "csv":
         for n, row in rows:
             print(",".join([str(n)] + [str(c) for c in row]))
@@ -221,7 +207,7 @@ def cmd_poly(args) -> int:
     poly = kl_poly(args.n)
     if args.format == "json":
         payload = {"n": args.n, "coeffs": [str(c) for c in poly.coeffs]}
-        _write_json(payload)
+        print(json.dumps(payload, indent=2))
     else:
         print(poly)
     return 0
@@ -243,7 +229,7 @@ def cmd_reps(args) -> int:
             ],
             "dimension": str(rep.dimension()),
         }
-        _write_json(payload)
+        print(json.dumps(payload, indent=2))
     elif not rep:
         print("0")
     else:

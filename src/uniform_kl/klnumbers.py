@@ -8,8 +8,6 @@ polygon.  The degree-reversal identity and strict log-concavity of the
 coefficient rows are checked by dedicated functions.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from collections import namedtuple

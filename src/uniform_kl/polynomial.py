@@ -6,10 +6,6 @@ keeps int coefficients, refuses any other coefficient type, and divides only
 when the quotient is again integral.
 """
 
-from __future__ import annotations
-
-from itertools import zip_longest
-
 __all__ = ["UniPoly"]
 
 
@@ -55,6 +51,8 @@ class UniPoly:
     def divexact(self, other):
         """Exact quotient self / other in Z[t]; ArithmeticError if a remainder
         is left or the quotient would need a non-integer coefficient."""
+        if not isinstance(other, UniPoly):
+            raise TypeError("divisor must be UniPoly, got %s" % type(other).__name__)
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
         div = other.coeffs
@@ -89,7 +87,8 @@ class UniPoly:
             other = UniPoly((other,))
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return UniPoly([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
+        pad = (0,) * abs(len(self.coeffs) - len(other.coeffs))
+        return UniPoly([a + b for a, b in zip(self.coeffs + pad, other.coeffs + pad)])
 
     __radd__ = __add__
 

@@ -9,8 +9,6 @@ Z[t][[u]]: they accept only inputs whose result is integral there and raise
 otherwise.
 """
 
-from __future__ import annotations
-
 from .klnumbers import kl_poly, twisted_binomial_sum
 from .polynomial import UniPoly
 

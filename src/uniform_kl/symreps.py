@@ -12,8 +12,6 @@ Kazhdan-Lusztig coefficients, plus the two-coefficient check that makes
 each step of the recursion collapse to a single irreducible.
 """
 
-from __future__ import annotations
-
 import math
 from functools import cache
 

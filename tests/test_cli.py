@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from uniform_kl.cli import main
+from uniform_kl.klnumbers import kl_poly
 
 
 def run(capsys, *argv):
@@ -57,11 +58,14 @@ def test_table_json_large_values_are_strings(capsys):
         ("verify", "main2", "--n-max", "6"),
         ("verify", "lemma-key", "--n-max", "6"),
         ("verify", "all"),
+        ("poly", "--n", "9"),
+        ("reps", "--n", "8", "--i", "3"),
+        ("reps", "--n", "5", "--i", "2"),  # empty terms
     ],
 )
 def test_json_output_matches_json_dumps(capsys, argv):
-    # table output is written in batches of encoder chunks, and verify
-    # reports by their own writer one case at a time
+    # table rows and verify cases are written one at a time from templates,
+    # poly and reps by json.dumps itself
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
@@ -140,6 +144,27 @@ def test_integers_past_the_str_digits_limit():
     out, _ = child.communicate(timeout=60)
     assert child.returncode == 0
     assert max(len(c) for c in json.loads(out)["coeffs"]) > 4300
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_table_streams_rows(capsys, monkeypatch, fmt):
+    import uniform_kl.cli as cli
+
+    def failing_kl_poly(n):
+        if n == 5:
+            raise RuntimeError("row 5")
+        return kl_poly(n)
+
+    monkeypatch.setattr(cli, "kl_poly", failing_kl_poly)
+    with pytest.raises(RuntimeError, match="row 5"):
+        main(["table", "--n-max", "6", "--format", fmt])
+    out = capsys.readouterr().out
+    # rows 2-4 were written before row 5 was computed
+    if fmt == "json":
+        assert [r["n"] for r in json.loads(out + "\n]\n")] == [2, 3, 4]
+    else:
+        expected = {"text": ["n=2: 1", "n=3: 1", "n=4: 1 2"], "csv": ["2,1", "3,1", "4,1,2"]}
+        assert out.splitlines() == expected[fmt]
 
 
 def test_table_csv(capsys):

@@ -111,6 +111,9 @@ def test_divexact():
         (t + 1).divexact(UniPoly([2]))  # the quotient is not in Z[t]
     with pytest.raises(ZeroDivisionError):
         t.divexact(UniPoly())
+    for divisor in (2, 2.0, "2", True):  # named in the error, not an AttributeError
+        with pytest.raises(TypeError, match="got %s$" % type(divisor).__name__):
+            UniPoly((4,)).divexact(divisor)
 
 
 @given(polys, polys)
