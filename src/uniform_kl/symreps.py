@@ -159,8 +159,8 @@ class VirtualRep:
 
     Multiplicities are ints (anything else, a bool too, raises TypeError) and
     may be negative; zero ones are dropped, so the zero element has an empty
-    term map.  Keys that are not yet Partition objects are validated as
-    partitions; every key must have size n.
+    term map.  The constructor checks each key, of any type, as a partition of
+    n; _built trusts the keys of ring results, checked ones or the hook rule's.
     """
 
     __slots__ = ("n", "terms")
@@ -168,21 +168,23 @@ class VirtualRep:
     def __init__(self, n: int, terms=None):
         if n < 0:
             raise ValueError("need n >= 0, got %d" % n)
-        clean = {}
+        self.n, self.terms = n, {}
         for lam, mult in (terms or {}).items():
             if type(mult) is not int:
                 raise TypeError("multiplicities must be int, got %s" % type(mult).__name__)
-            if not mult:
-                continue
-            if not isinstance(lam, Partition):
+            if mult:
                 lam = Partition(lam)
-            if lam.size != n:
-                raise ValueError(
-                    "partition %r has size %d, expected %d" % (tuple(lam), lam.size, n)
-                )
-            clean[lam] = mult
-        self.n = n
-        self.terms = clean
+                if lam.size != n:
+                    raise ValueError(
+                        "partition %r has size %d, expected %d" % (tuple(lam), lam.size, n)
+                    )
+                self.terms[lam] = mult
+
+    @classmethod
+    def _built(cls, n, terms):
+        rep = cls.__new__(cls)
+        rep.n, rep.terms = n, {lam: m for lam, m in terms.items() if m}
+        return rep
 
     def dimension(self) -> int:
         """Virtual dimension: the multiplicity-weighted sum of hook-length
@@ -197,7 +199,7 @@ class VirtualRep:
         out = dict(self.terms)
         for lam, m in other.terms.items():
             out[lam] = out.get(lam, 0) + sign * m
-        return VirtualRep(self.n, out)
+        return VirtualRep._built(self.n, out)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -208,7 +210,7 @@ class VirtualRep:
     def __mul__(self, scalar):
         if type(scalar) is not int:
             return NotImplemented
-        return VirtualRep(self.n, {lam: scalar * m for lam, m in self.terms.items()})
+        return VirtualRep._built(self.n, {lam: scalar * m for lam, m in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -286,7 +288,8 @@ def induce_product(left: VirtualRep, right: VirtualRep) -> VirtualRep:
             raise ValueError("left factor term %r is not a hook" % (tuple(mu),))
         for lam, cl in right.terms.items():
             _hook_product(mu, lam, cm * cl, out)
-    return VirtualRep(left.n + right.n, out)
+    out = {tuple.__new__(Partition, nu): m for nu, m in out.items()}
+    return VirtualRep._built(left.n + right.n, out)
 
 
 def _hook(head: int, leg: int):
@@ -303,7 +306,7 @@ def exterior_rho(m: int, k: int) -> VirtualRep:
     if m < 1:
         raise ValueError("need m >= 1, got %d" % m)
     hooks = (_hook(m - k, k), _hook(m - k + 1, k - 1))
-    return VirtualRep(m, {lam: 1 for lam in hooks if lam is not None})
+    return VirtualRep._built(m, {lam: 1 for lam in hooks if lam is not None})
 
 
 @cache
@@ -364,13 +367,10 @@ def lemma_key_check(n: int, i: int, p: int, q: int):
         raise ValueError("need 0 <= q <= min(i, 2i-p), got q=%d" % q)
     nu = Partition((n - 2 * i,) + (2,) * i)
     lam = Partition.maybe((p + 2 * q - 2 * i + 1,) + (2,) * (i - q))
-    mu = _hook(n + q - 2 * i - 1, 2 * i - p - q)
-    mu_shift = _hook(n + q - 2 * i, 2 * i - p - q - 1)
+    hooks = (_hook(n + q - 2 * i - 1, 2 * i - p - q), _hook(n + q - 2 * i, 2 * i - p - q - 1))
     if lam is None:
         return (0, 0)
-    first = lr_coefficient(nu, mu, lam) if mu is not None else 0
-    second = lr_coefficient(nu, mu_shift, lam) if mu_shift is not None else 0
-    return (first, second)
+    return tuple(0 if mu is None else lr_coefficient(nu, mu, lam) for mu in hooks)
 
 
 def lemma_key_expected(n: int, i: int, p: int, q: int):

@@ -275,20 +275,27 @@ def test_virtual_rep_algebra():
 
 
 def test_virtual_rep_validates_plain_keys_and_trusts_partitions(monkeypatch):
-    with pytest.raises(ValueError):
-        VirtualRep(3, {(1, 2): 1})
-    with pytest.raises(ValueError):
-        VirtualRep(3, {(2, 2): 1})
+    # a key of type Partition that is not one is checked like any other
+    for key in ((1, 2), (2, 2), tuple.__new__(Partition, (1, 2))):
+        with pytest.raises(ValueError):
+            VirtualRep(3, {key: 1})
     a = VirtualRep(4, {(3, 1): 1, (2, 1, 1): -1})
     b = VirtualRep(4, {(2, 2): 2, (3, 1): 1})
+    wedge, point = exterior_rho(3, 1), irreducible((1,))
     checked = []
     real = symreps._weakly_decreasing_positive
     monkeypatch.setattr(
         symreps, "_weakly_decreasing_positive", lambda parts: checked.append(parts) or real(parts)
     )
-    total = a + b
-    assert checked == []  # the keys are Partition objects already
+    total, difference, negated = a + b, a - b, -1 * a
+    product = induce_product(wedge, point)
+    # the ring operations build their results without the constructor's
+    # checks: their keys were checked already or come from the hook rule
+    assert checked == []
     assert total.terms == {(3, 1): 2, (2, 2): 2, (2, 1, 1): -1}
+    assert difference.terms == {(2, 2): -2, (2, 1, 1): -1}
+    assert negated.terms == {(3, 1): -1, (2, 1, 1): 1}
+    assert product.terms == {(4,): 1, (3, 1): 2, (2, 2): 1, (2, 1, 1): 1}
 
 
 def test_non_integer_multiplicities_rejected():
@@ -455,6 +462,30 @@ def test_ih_rep_exterior_powers_never_vanish():
                     assert exterior_rho(n - p - 1, 2 * i - p - q), (n, i, p, q)
                     points += 1
     assert points == 12600
+
+
+def test_hook_rule_keys_pass_the_public_constructor(monkeypatch):
+    # production takes the hook rule's keys unchecked, so check every
+    # product the engine forms up to n = 20 through the public constructor
+    products = []
+    real = symreps.induce_product
+
+    def checked_product(left, right):
+        out = real(left, right)
+        assert out == VirtualRep(out.n, dict(out.terms)), (left, right)
+        assert all(type(lam) is Partition for lam in out.terms), (left, right)
+        products.append(out)
+        return out
+
+    monkeypatch.setattr(symreps, "induce_product", checked_product)
+    ih_rep.cache_clear()
+    try:
+        for n in range(2, 21):
+            for i in range((n - 2) // 2 + 1):
+                ih_rep(n, i)
+    finally:
+        ih_rep.cache_clear()
+    assert len(products) == 825
 
 
 def test_ih_rep_base_and_vanishing():
