@@ -109,11 +109,12 @@ class USeries:
         """Square root with constant term 1, from the differential equation
         2 s y' = s' y of y = sqrt(s): its u^(k-1) coefficient gives
             2k y_k = sum over 0 < m <= k of (3m - 2k) s_m y_(k-m),
-        one product per nonzero s_m.  The first coefficient outside Z[t]
-        leaves a remainder in its exact division by 2k, which raises
-        ArithmeticError; the result is verified by squaring, each cross
-        product made once: the u^k coefficient of the square is twice the
-        sum of y_i y_(k-i) over i < k-i, plus y_(k/2)^2 for even k."""
+        one product per nonzero s_m; a remainder in the exact division by
+        2k raises ArithmeticError.  The root is checked against the same
+        equation, radicand on the left so its zero slots cost no products,
+        bar the last slot, which would need y_order.  With z = y^2,
+        y (2 s y' - s' y) = s z' - s' z = s^2 (z/s)', and y, s are units with
+        z_0 = s_0 = 1, so over Q the check passes iff y^2 = s up to u^order."""
         if self.coeffs[0] != UniPoly((1,)):
             raise ValueError("u^0 coefficient must be 1")
         root = [self.coeffs[0]]
@@ -123,17 +124,12 @@ class USeries:
                 if self.coeffs[m]:
                     acc += self.coeffs[m] * root[k - m] * (3 * m - 2 * k)
             root.append(acc.divexact(UniPoly((2 * k,))))
-        for k, target in enumerate(self.coeffs):
-            square = UniPoly()
-            for i in range((k + 1) // 2):
-                if root[i] and root[k - i]:
-                    square += root[i] * root[k - i]
-            square *= 2
-            if k % 2 == 0:
-                square += root[k // 2] * root[k // 2]
-            if square != target:
-                raise ArithmeticError("square root does not square back to the input")
-        return USeries(self.order, root)
+        y = USeries(self.order, root)
+        dy = USeries(self.order, [k * c for k, c in enumerate(root)][1:])
+        ds = USeries(self.order, [k * c for k, c in enumerate(self.coeffs)][1:])
+        if any((self * dy * 2 - ds * y).coeffs[:-1]):
+            raise ArithmeticError("square root does not square back to the input")
+        return y
 
     def substitute(self, inner: "USeries") -> "USeries":
         """Compose, replacing u by `inner`; `inner` must have zero constant

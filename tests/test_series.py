@@ -169,18 +169,38 @@ def test_sqrt_of_square_with_four_terms():
         (square + USeries(ORDER, [0, 0, 0, 1])).sqrt()
 
 
-def test_sqrt_squaring_check_catches_one_corrupted_coefficient(monkeypatch):
-    # the last root coefficient y_9 (divided by 2k = 18) is read by no later
-    # step, so only the closing squaring check can see it is wrong
+@pytest.mark.parametrize("order", [2, 3, 10])
+def test_sqrt_squaring_check_catches_one_corrupted_coefficient(monkeypatch, order):
+    # the last root coefficient y_(order-1), divided by 2k = 2(order-1), is
+    # read by no later step: only the closing check sees it, in the u^(order-2)
+    # slot of 2 s y' - s' y, the last slot that the check compares
     divexact = UniPoly.divexact
 
-    def off_by_one_at_u9(self, other):
+    def off_by_one_at_last(self, other):
         out = divexact(self, other)
-        return out + 1 if other == 18 else out
+        return out + 1 if other == 2 * (order - 1) else out
 
-    monkeypatch.setattr(UniPoly, "divexact", off_by_one_at_u9)
+    monkeypatch.setattr(UniPoly, "divexact", off_by_one_at_last)
     with pytest.raises(ArithmeticError, match="does not square back"):
-        USeries(10, [1, -4]).sqrt()
+        USeries(order, [1, -4]).sqrt()
+
+
+@pytest.mark.parametrize("order", [100, 200])
+def test_sqrt_of_dissection_radicand_makes_linearly_many_products(monkeypatch, order):
+    # recurrence and check each cost a fixed number of products per slot
+    # for the three-term radicand of beckwith_f
+    calls = []
+    mul = UniPoly.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(UniPoly, "__mul__", counted)
+    monkeypatch.setattr(UniPoly, "__rmul__", counted)
+    a = UniPoly([1, 2])
+    USeries(order, [1, -2 * a, 1]).sqrt()
+    assert len(calls) <= 15 * order
 
 
 @given(series)

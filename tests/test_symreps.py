@@ -274,7 +274,7 @@ def test_virtual_rep_algebra():
         VirtualRep(3, {Partition((2, 2)): 1})
 
 
-def test_virtual_rep_validates_plain_keys_and_trusts_partitions(monkeypatch):
+def test_virtual_rep_checks_every_key_and_ring_operations_do_not(monkeypatch):
     # a key of type Partition that is not one is checked like any other
     for key in ((1, 2), (2, 2), tuple.__new__(Partition, (1, 2))):
         with pytest.raises(ValueError):
