@@ -320,10 +320,12 @@ def ih_rep(n: int, i: int) -> VirtualRep:
         + sum over 0 < p < n-1, 0 <= q <= min(i, 2i-p) of
           (-1)^(p+q) Ind(wedge^(2i-p-q) rho_{n-p-1} (x) ih(p+1, i-q))
 
-    with ih(n, i) = 0 whenever 2i >= n - 1.  The loop bounds and 2i < n-1
-    give 0 <= 2i-p-q < n-p-1, so no exterior power in the sum is zero.
-    The recursion never assumes the answer is irreducible; that is what
-    verify_main2 checks.
+    with ih(n, i) = 0 whenever 2i >= n - 1.  With j = i-q, h = i+j-p,
+    m = n-p-1 and wedge^h rho_m = [m-h, 1^h] + [m-h+1, 1^(h-1)], the second
+    hooks cancel in the sum of ih(n, i') over i' <= i: it is (-1)^i
+    [n-i, 1^i] plus, over 0 < p < n-1 and 2j < p with h >= 0 (so h < m),
+    (-1)^h Ind([m-h, 1^h] (x) ih(p+1, j)).  Less the cached lower i', that
+    is ih(n, i), never assumed irreducible: verify_main2 checks that.
     """
     if n < 2:
         raise ValueError("need n >= 2, got %d" % n)
@@ -331,14 +333,15 @@ def ih_rep(n: int, i: int) -> VirtualRep:
         raise ValueError("need i >= 0, got %d" % i)
     if 2 * i >= n - 1:
         return VirtualRep(n)
-    total = (-1) ** i * exterior_rho(n, i)
+    total = VirtualRep._built(n, {_hook(n - i, i): (-1) ** i})
     for p in range(1, n - 1):
-        for q in range(min(i, 2 * i - p) + 1):
-            sub = ih_rep(p + 1, i - q)
-            if not sub:
-                continue
-            term = induce_product(exterior_rho(n - p - 1, 2 * i - p - q), sub)
-            total = total + term if (p + q) % 2 == 0 else total - term
+        m = n - p - 1
+        for j in range(max(0, p - i), (p + 1) // 2):
+            h = i + j - p
+            hook = VirtualRep._built(m, {_hook(m - h, h): (-1) ** h})
+            total = total + induce_product(hook, ih_rep(p + 1, j))
+    for lower in range(i):
+        total = total - ih_rep(n, lower)
     return total
 
 

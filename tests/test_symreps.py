@@ -451,17 +451,20 @@ def test_exterior_rho_dimensions():
 # ------------------------------------------------------------------ engine
 
 
-def test_ih_rep_exterior_powers_never_vanish():
-    # ih_rep passes every exterior power of its stratum sum straight to
-    # induce_product; none of them may be the zero representation
+def test_ih_rep_stratum_hooks_are_in_range():
+    # ih_rep passes the hook [m-h, 1^h] of every stratum term straight to
+    # VirtualRep._built, unchecked; each one must be a partition of m
     points = 0
-    for n in range(2, 31):
+    for n in range(2, 41):
         for i in range((n - 2) // 2 + 1):
             for p in range(1, n - 1):
-                for q in range(min(i, 2 * i - p) + 1):
-                    assert exterior_rho(n - p - 1, 2 * i - p - q), (n, i, p, q)
+                m = n - p - 1
+                for j in range(max(0, p - i), (p + 1) // 2):
+                    h = i + j - p
+                    assert 0 <= h < m, (n, i, p, j)
+                    assert symreps._hook(m - h, h) in hooks_of(m), (n, i, p, j)
                     points += 1
-    assert points == 12600
+    assert points == 13300
 
 
 def test_hook_rule_keys_pass_the_public_constructor(monkeypatch):
@@ -486,6 +489,54 @@ def test_hook_rule_keys_pass_the_public_constructor(monkeypatch):
     finally:
         ih_rep.cache_clear()
     assert len(products) == 825
+
+
+def test_ih_rep_forms_each_hook_product_once(monkeypatch):
+    # the telescoped sum takes one signed hook per stratum, so no
+    # (hook, shape) pair is multiplied twice
+    pairs = []
+    real = symreps._hook_product
+
+    def counted(hook, lam, mult, out):
+        pairs.append((hook, lam))
+        real(hook, lam, mult, out)
+
+    monkeypatch.setattr(symreps, "_hook_product", counted)
+    ih_rep.cache_clear()
+    try:
+        for n in range(2, 21):
+            for i in range((n - 2) // 2 + 1):
+                ih_rep(n, i)
+    finally:
+        ih_rep.cache_clear()
+    assert len(pairs) == len(set(pairs)) == 825
+
+
+@lru_cache(maxsize=None)
+def literal_ih_rep(n, i):
+    """The stratification recursion summed term by term, each stratum
+    term an exterior power with the sign (-1)^(p+q)."""
+    if 2 * i >= n - 1:
+        return VirtualRep(n)
+    total = (-1) ** i * exterior_rho(n, i)
+    for p in range(1, n - 1):
+        for q in range(min(i, 2 * i - p) + 1):
+            sub = literal_ih_rep(p + 1, i - q)
+            if not sub:
+                continue
+            term = induce_product(exterior_rho(n - p - 1, 2 * i - p - q), sub)
+            total = total + term if (p + q) % 2 == 0 else total - term
+    return total
+
+
+def test_ih_rep_matches_the_literal_recursion():
+    ih_rep.cache_clear()
+    try:
+        for n in range(2, 23):
+            for i in range((n - 2) // 2 + 3):
+                assert ih_rep(n, i) == literal_ih_rep(n, i), (n, i)
+    finally:
+        ih_rep.cache_clear()
 
 
 def test_ih_rep_base_and_vanishing():
