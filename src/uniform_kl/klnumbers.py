@@ -146,10 +146,10 @@ def _noncrossing_counts(free, blockers, memo):
 class KLTable:
     """Grid of coefficients filled bottom-up by the double-sum recursion.
 
-    Only the band 2i < n - 1 is stored; get() applies the vanishing
-    convention (zero for i < 0 and for 2i >= n - 1) so lookups made by the
-    recursion are total.  `sums` holds the inner sum of each (s, j) that a
-    row up to max_n reads, filled from s's signed Pascal row once row s is.
+    Only the band 2i < n - 1 is stored, and the recursion reads only inside
+    it: c_recursion reads `sums`, the inner sum of each (s, j) that a row up
+    to max_n reads, filled from s's signed Pascal row once row s is; __init__
+    reads `cells`.  get() serves the CLI and tests: 0 outside the band.
     """
 
     def __init__(self, max_n: int):

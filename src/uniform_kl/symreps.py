@@ -159,8 +159,9 @@ class VirtualRep:
 
     Multiplicities are ints (anything else, a bool too, raises TypeError) and
     may be negative; zero ones are dropped, so the zero element has an empty
-    term map.  The constructor checks each key, of any type, as a partition of
-    n; _built trusts the keys of ring results, checked ones or the hook rule's.
+    term map.  Every key is a plain tuple: the constructor checks each key, of
+    any type, as a partition of n and stores it as a tuple; _built trusts the
+    keys of ring results, checked ones or the hook rule's.
     """
 
     __slots__ = ("n", "terms")
@@ -178,7 +179,7 @@ class VirtualRep:
                     raise ValueError(
                         "partition %r has size %d, expected %d" % (tuple(lam), lam.size, n)
                     )
-                self.terms[lam] = mult
+                self.terms[tuple(lam)] = mult
 
     @classmethod
     def _built(cls, n, terms):
@@ -278,9 +279,9 @@ def _hook_product(hook, lam, mult, out):
 def induce_product(left: VirtualRep, right: VirtualRep) -> VirtualRep:
     """Product induced from the direct product of two symmetric groups, by
     the Littlewood-Richardson rule; bilinear in the two virtual
-    representations.  Every term of left must be a hook, as every term of
-    an exterior power is; each pair is counted by the two-strip rule of
-    _hook_product."""
+    representations.  Every term of left must be a hook, as the engine's
+    signed stratum hook is; each pair is counted by the two-strip rule of
+    _hook_product, and its keys are stored as that rule made them."""
     out = {}
     for mu, cm in left.terms.items():
         # a hook [a, 1^b] has no second part above 1
@@ -288,15 +289,12 @@ def induce_product(left: VirtualRep, right: VirtualRep) -> VirtualRep:
             raise ValueError("left factor term %r is not a hook" % (tuple(mu),))
         for lam, cl in right.terms.items():
             _hook_product(mu, lam, cm * cl, out)
-    out = {tuple.__new__(Partition, nu): m for nu, m in out.items()}
     return VirtualRep._built(left.n + right.n, out)
 
 
 def _hook(head: int, leg: int):
-    """The hook partition [head, 1^leg], or None when out of range."""
-    if leg < 0:
-        return None
-    return Partition.maybe((head,) + (1,) * leg)
+    """The hook partition [head, 1^leg] as a tuple, or None when out of range."""
+    return (head,) + (1,) * leg if head > 0 and leg >= 0 else None
 
 
 def exterior_rho(m: int, k: int) -> VirtualRep:

@@ -9,7 +9,8 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from uniform_kl.klnumbers import d_bruteforce, d_cayley, kl_poly
+from uniform_kl import klnumbers, series as series_module
+from uniform_kl.klnumbers import check_epw2, d_bruteforce, d_cayley, kl_poly
 from uniform_kl.polynomial import UniPoly
 from uniform_kl.series import (
     USeries,
@@ -308,6 +309,25 @@ def test_functional_equation_detects_wrong_series():
     for order, exp in ((6, 3), (40, 30)):
         wrong = phi_from_table(order) + USeries(order, [0] * exp + [1])
         assert check_functional_equation(order, phi=wrong), order
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_functional_equation_row_is_the_degree_reversal_residual(monkeypatch, corrupt):
+    # the u^(n-1) coefficient of the residual is the degree-reversal residual
+    # of P_n: the first term, built with inverse, gives the binomial row of
+    # check_epw2 and _mobius_twist its twisted sum.  P_7 + t breaks both
+    # from n = 7 on, identically.
+    if corrupt:
+        real = klnumbers.kl_poly
+        patched = lambda m: real(m) + UniPoly((0, 1)) if m == 7 else real(m)
+        monkeypatch.setattr(klnumbers, "kl_poly", patched)
+        monkeypatch.setattr(series_module, "kl_poly", patched)
+    order = 20
+    residual = check_functional_equation(order)
+    for n in range(2, order + 1):
+        row = residual.coeffs[n - 1]
+        assert row == check_epw2(n)[1], n
+        assert bool(row) == (corrupt and n >= 7), n
 
 
 def test_functional_equation_domain():

@@ -298,6 +298,36 @@ def test_virtual_rep_checks_every_key_and_ring_operations_do_not(monkeypatch):
     assert product.terms == {(4,): 1, (3, 1): 2, (2, 2): 1, (2, 1, 1): 1}
 
 
+def test_virtual_rep_keys_are_exact_tuples():
+    # one key type: the constructor stores a Partition key or a tuple key as
+    # a plain tuple, and every ring result keeps plain tuple keys
+    def assert_tuple_keys(rep):
+        assert rep.terms and all(type(lam) is tuple for lam in rep.terms), rep
+
+    a = VirtualRep(4, {Partition((3, 1)): 1, Partition((2, 1, 1)): -1})
+    b = VirtualRep(4, {(2, 2): 2, (3, 1): 1})
+    c = VirtualRep(4, {Partition((4,)): 1, (3, 1): 3})
+    for rep in (a, b, c, a + b, a - b, 3 * a, a * -2):
+        assert_tuple_keys(rep)
+    assert_tuple_keys(induce_product(exterior_rho(3, 1), a))
+    assert_tuple_keys(induce_product(irreducible((2, 1, 1)), b))
+    for m in range(1, 8):
+        for k in range(m + 1):
+            assert_tuple_keys(exterior_rho(m, k))
+
+
+def test_hook_matches_partition_maybe():
+    # a negative leg has no hook, although (1,) * leg is then empty
+    for head in range(-2, 9):
+        for leg in range(-2, 9):
+            hook = symreps._hook(head, leg)
+            expected = Partition.maybe((head,) + (1,) * leg) if leg >= 0 else None
+            if expected is None:
+                assert hook is None, (head, leg)
+            else:
+                assert type(hook) is tuple and hook == expected, (head, leg)
+
+
 def test_non_integer_multiplicities_rejected():
     # the integer policy of UniPoly: no float, rational or bool enters,
     # not even a zero that would be dropped
@@ -476,7 +506,7 @@ def test_hook_rule_keys_pass_the_public_constructor(monkeypatch):
     def checked_product(left, right):
         out = real(left, right)
         assert out == VirtualRep(out.n, dict(out.terms)), (left, right)
-        assert all(type(lam) is Partition for lam in out.terms), (left, right)
+        assert all(type(lam) is tuple for lam in out.terms), (left, right)
         products.append(out)
         return out
 
