@@ -28,7 +28,7 @@ from .klnumbers import (
     kl_poly,
 )
 from .series import USeries, check_functional_equation, g_series, phi_from_table
-from .symreps import Partition, hook_dimension, ih_rep, lemma_key_check, lemma_key_expected, verify_main2
+from .symreps import hook_dimension, ih_rep, lemma_key_check, lemma_key_expected, verify_main2
 
 
 # One verified statement: the inputs, both sides as computed, and the
@@ -93,11 +93,11 @@ def suite_main2(n_max: int = 14):
     shape agree with the closed form."""
     for n in range(2, n_max + 1):
         for i in range((n - 2) // 2 + 1):
-            target = Partition((n - 2 * i,) + (2,) * i)
+            target = (n - 2 * i,) + (2,) * i
             expected = c_closed(n, i)
             yield "ih(%d,%d) irreducible" % (n, i), True, verify_main2(n, i)
             yield "dim ih(%d,%d)" % (n, i), expected, ih_rep(n, i).dimension()
-            yield "hook dim %s" % (tuple(target),), expected, hook_dimension(target)
+            yield "hook dim %s" % (target,), expected, hook_dimension(target)
 
 
 def suite_lemma_key(n_max: int = 12):

@@ -30,12 +30,6 @@ __all__ = [
 ]
 
 
-def _weakly_decreasing_positive(parts) -> bool:
-    if not all(type(p) is int and p > 0 for p in parts):
-        return False
-    return all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
-
-
 class Partition(tuple):
     """Weakly decreasing tuple of positive integers; the empty partition is
     allowed and indexes the trivial module of S_0."""
@@ -44,19 +38,10 @@ class Partition(tuple):
 
     def __new__(cls, parts=()):
         parts = tuple(parts)
-        if not _weakly_decreasing_positive(parts):
+        positive = all(type(p) is int and p > 0 for p in parts)
+        if not positive or any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError("not a partition: %r" % (parts,))
         return tuple.__new__(cls, parts)
-
-    @classmethod
-    def maybe(cls, parts):
-        """The partition, or None when the sequence is not one.
-
-        None stands for the zero representation wherever a construction can
-        produce an out-of-range shape.
-        """
-        parts = tuple(parts)
-        return tuple.__new__(cls, parts) if _weakly_decreasing_positive(parts) else None
 
     @property
     def size(self) -> int:
@@ -348,8 +333,7 @@ def verify_main2(n: int, i: int) -> bool:
     [n-2i, 2^i] with multiplicity one."""
     if n < 2 or i < 0 or 2 * i >= n - 1:
         raise ValueError("need n >= 2 and 0 <= i < (n-1)/2, got n=%d i=%d" % (n, i))
-    target = Partition((n - 2 * i,) + (2,) * i)
-    return ih_rep(n, i).terms == {target: 1}
+    return ih_rep(n, i).terms == {(n - 2 * i,) + (2,) * i: 1}
 
 
 def lemma_key_check(n: int, i: int, p: int, q: int):
@@ -358,7 +342,8 @@ def lemma_key_check(n: int, i: int, p: int, q: int):
 
     With nu = [n-2i, 2^i], lam = [p+2q-2i+1, 2^(i-q)] and the two hooks
     mu = [n+q-2i-1, 1^(2i-p-q)], mu' = [n+q-2i, 1^(2i-p-q-1)], returns
-    (c^nu_{mu,lam}, c^nu_{mu',lam}).  Any shape out of range contributes 0.
+    (c^nu_{mu,lam}, c^nu_{mu',lam}).  Both are 0 when the head p+2q-2i+1 of
+    lam is below 2 (q = i makes it p+1 >= 2); a hook out of range gives 0.
     """
     if n < 2 or i < 0 or 2 * i >= n - 1:
         raise ValueError("need n >= 2 and 0 <= i < (n-1)/2, got n=%d i=%d" % (n, i))
@@ -366,11 +351,11 @@ def lemma_key_check(n: int, i: int, p: int, q: int):
         raise ValueError("need 0 < p < n, got p=%d" % p)
     if not 0 <= q <= min(i, 2 * i - p):
         raise ValueError("need 0 <= q <= min(i, 2i-p), got q=%d" % q)
-    nu = Partition((n - 2 * i,) + (2,) * i)
-    lam = Partition.maybe((p + 2 * q - 2 * i + 1,) + (2,) * (i - q))
-    hooks = (_hook(n + q - 2 * i - 1, 2 * i - p - q), _hook(n + q - 2 * i, 2 * i - p - q - 1))
-    if lam is None:
+    head = p + 2 * q - 2 * i + 1
+    if head < 2:
         return (0, 0)
+    nu, lam = (n - 2 * i,) + (2,) * i, (head,) + (2,) * (i - q)
+    hooks = (_hook(n + q - 2 * i - 1, 2 * i - p - q), _hook(n + q - 2 * i, 2 * i - p - q - 1))
     return tuple(0 if mu is None else lr_coefficient(nu, mu, lam) for mu in hooks)
 
 

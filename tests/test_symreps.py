@@ -139,15 +139,9 @@ def test_partition_construction():
         Partition((2, 0))
     with pytest.raises(ValueError):
         Partition((-1,))
-
-
-def test_partition_maybe():
-    assert Partition.maybe((2, 2)) == (2, 2)
-    assert type(Partition.maybe((2, 2))) is Partition
-    assert Partition.maybe((2, 3)) is None
-    assert Partition.maybe((0, 1)) is None
-    assert Partition.maybe((1, -1)) is None
-    assert Partition.maybe(()) == ()
+    for parts in ((2, 3), (0, 1), (1, -1)):
+        with pytest.raises(ValueError):
+            Partition(parts)
 
 
 def test_conjugate():
@@ -283,15 +277,18 @@ def test_virtual_rep_checks_every_key_and_ring_operations_do_not(monkeypatch):
     b = VirtualRep(4, {(2, 2): 2, (3, 1): 1})
     wedge, point = exterior_rho(3, 1), irreducible((1,))
     checked = []
-    real = symreps._weakly_decreasing_positive
+    real = Partition.__new__
     monkeypatch.setattr(
-        symreps, "_weakly_decreasing_positive", lambda parts: checked.append(parts) or real(parts)
+        Partition, "__new__", lambda cls, parts=(): checked.append(parts) or real(cls, parts)
     )
     total, difference, negated = a + b, a - b, -1 * a
     product = induce_product(wedge, point)
     # the ring operations build their results without the constructor's
     # checks: their keys were checked already or come from the hook rule
     assert checked == []
+    # the patch sees the public constructor's check
+    VirtualRep(4, {(2, 2): 1})
+    assert checked == [(2, 2)]
     assert total.terms == {(3, 1): 2, (2, 2): 2, (2, 1, 1): -1}
     assert difference.terms == {(2, 2): -2, (2, 1, 1): -1}
     assert negated.terms == {(3, 1): -1, (2, 1, 1): 1}
@@ -316,12 +313,15 @@ def test_virtual_rep_keys_are_exact_tuples():
             assert_tuple_keys(exterior_rho(m, k))
 
 
-def test_hook_matches_partition_maybe():
+def test_hook_matches_partition():
     # a negative leg has no hook, although (1,) * leg is then empty
     for head in range(-2, 9):
         for leg in range(-2, 9):
             hook = symreps._hook(head, leg)
-            expected = Partition.maybe((head,) + (1,) * leg) if leg >= 0 else None
+            try:
+                expected = Partition((head,) + (1,) * leg) if leg >= 0 else None
+            except ValueError:
+                expected = None
             if expected is None:
                 assert hook is None, (head, leg)
             else:
@@ -342,7 +342,8 @@ def test_non_integer_multiplicities_rejected():
             scalar * rep
     with pytest.raises(ValueError):
         Partition((True,))
-    assert Partition.maybe((2, True)) is None
+    with pytest.raises(ValueError):
+        Partition((2, True))
 
 
 def test_virtual_rep_rendering():
@@ -411,9 +412,13 @@ def test_induce_product_hook_times_ih_shape():
     for size in range(2, 13):
         for hook_size in range(1, size):
             rest = size - hook_size
-            shapes = [Partition.maybe((rest - 2 * j,) + (2,) * j) for j in range(rest // 2 + 1)]
+            shapes = [
+                Partition((rest - 2 * j,) + (2,) * j)
+                for j in range(rest // 2 + 1)
+                if j == 0 or rest - 2 * j >= 2
+            ]
             for mu in hooks_of(hook_size):
-                for lam in filter(None, shapes):
+                for lam in shapes:
                     compared += assert_product_matches_lr(mu, lam)
     assert compared == 23048
 
@@ -624,6 +629,40 @@ def test_lemma_key_matches_pattern():
                     assert lemma_key_check(n, i, p, q) == lemma_key_expected(
                         n, i, p, q
                     ), (n, i, p, q)
+
+
+def test_lemma_key_range_rule_matches_partition():
+    # lemma_key_check drops lam = [p+2q-2i+1, 2^(i-q)] by its head alone;
+    # the oracle asks the Partition constructor about every shape instead
+    def shape(head, part, count):
+        if count < 0:
+            return None
+        try:
+            return Partition((head,) + (part,) * count)
+        except ValueError:
+            return None
+
+    cases = dropped = 0
+    for n in range(2, 15):
+        for i in range((n - 2) // 2 + 1):
+            nu = Partition((n - 2 * i,) + (2,) * i)
+            for p in range(1, n):
+                for q in range(min(i, 2 * i - p) + 1):
+                    lam = shape(p + 2 * q - 2 * i + 1, 2, i - q)
+                    hooks = (
+                        shape(n + q - 2 * i - 1, 1, 2 * i - p - q),
+                        shape(n + q - 2 * i, 1, 2 * i - p - q - 1),
+                    )
+                    if lam is None:
+                        expected = (0, 0)
+                        dropped += 1
+                    else:
+                        expected = tuple(
+                            0 if mu is None else lr_coefficient(nu, mu, lam) for mu in hooks
+                        )
+                    assert lemma_key_check(n, i, p, q) == expected, (n, i, p, q)
+                    cases += 1
+    assert (cases, dropped) == (588, 392)
 
 
 def test_lemma_key_domain():
