@@ -35,8 +35,9 @@ from .symreps import hook_dimension, ih_rep, lemma_key_check, lemma_key_expected
 # verdict.  The sides are rendered with str() only when written.
 CaseRecord = namedtuple("CaseRecord", "inputs expected actual passed")
 
-# One suite run: its case records, the number that passed, and its wall time.
-SuiteReport = namedtuple("SuiteReport", "suite cases n_passed wall_time")
+# One suite run: the verdict of each case, the number that passed, the
+# records of the failing cases, and its wall time.
+SuiteReport = namedtuple("SuiteReport", "suite cases n_passed failures wall_time")
 
 
 def suite_closed_vs_recursion(n_max: int = 25):
@@ -124,16 +125,23 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, bound=None) -> SuiteReport:
+def run_suite(name: str, bound=None, write_case=None) -> SuiteReport:
     """Run one named suite at the value of its bound option (None for its
-    default), and record each (inputs, expected, actual) triple with its verdict."""
+    default).  Each (inputs, expected, actual) triple becomes a CaseRecord
+    with its verdict, handed to `write_case` as soon as it is made; the
+    report keeps the verdicts and only the failing records."""
     func = _SUITES[name][0]
     start = time.perf_counter()
-    cases = []
+    verdicts, failures = [], []
     for inputs, expected, actual in func() if bound is None else func(bound):
-        cases.append(CaseRecord(inputs, expected, actual, expected == actual))
+        case = CaseRecord(inputs, expected, actual, expected == actual)
+        verdicts.append(case.passed)
+        if not case.passed:
+            failures.append(case)
+        if write_case is not None:
+            write_case(case)
     wall_time = time.perf_counter() - start
-    return SuiteReport(name, cases, sum(1 for c in cases if c.passed), wall_time)
+    return SuiteReport(name, verdicts, sum(verdicts), failures, wall_time)
 
 
 # The table rows and the verify report in the layout of
@@ -153,24 +161,19 @@ _VERIFY_SUITE_TAIL = (
 _JSON_BOOL = {True: "true", False: "false"}
 
 
-def _write_verify_json(reports, all_ok) -> None:
-    """Write {"suites": [...], "ok": all_ok} one case at a time, the same
-    bytes as print(json.dumps(payload, indent=2)).  No report is empty:
-    cmd_verify refuses a suite that ran zero cases."""
+def _json_case_writer(head):
+    """A write_case for one suite of the JSON report: `head` goes out with
+    its first case, so a suite that runs no case writes nothing."""
     write = sys.stdout.write
-    write('{\n  "suites": [\n')
-    for index, report in enumerate(reports):
-        write(_VERIFY_SUITE_HEAD % (",\n" if index else "", _quote(report.suite)))
-        sep = ""
-        for c in report.cases:
-            sides = _quote(str(c.inputs)), _quote(str(c.expected)), _quote(str(c.actual))
-            write(_VERIFY_CASE % (sep, *sides, _JSON_BOOL[c.passed]))
-            sep = ",\n"
-        passed = report.n_passed
-        failed = len(report.cases) - passed
-        wall = round(report.wall_time, 3)
-        write(_VERIFY_SUITE_TAIL % (passed, failed, wall, _JSON_BOOL[not failed]))
-    write('\n  ],\n  "ok": %s\n}\n' % _JSON_BOOL[all_ok])
+    sep = head
+
+    def write_case(c):
+        nonlocal sep
+        sides = _quote(str(c.inputs)), _quote(str(c.expected)), _quote(str(c.actual))
+        write(_VERIFY_CASE % (sep, *sides, _JSON_BOOL[c.passed]))
+        sep = ",\n"
+
+    return write_case
 
 
 def _flag(param: str) -> str:
@@ -247,20 +250,34 @@ def cmd_verify(args) -> int:
         for param, value in bounds.items():
             if value is not None and param != used:
                 return _usage_error("suite %s does not use %s" % (args.suite, _flag(param)))
+    # The JSON report, {"suites": [...], "ok": ...} in the bytes of
+    # print(json.dumps(payload, indent=2)), is written one case at a time;
+    # the text report needs each suite's counts first, so it comes last.
+    as_json = args.format == "json"
     reports = []
-    for name in names:
+    for index, name in enumerate(names):
+        write_case = None
+        if as_json:
+            head = _VERIFY_SUITE_HEAD % (",\n" if index else '{\n  "suites": [\n', _quote(name))
+            write_case = _json_case_writer(head)
         try:
-            report = run_suite(name, bounds[_SUITES[name][1]])
+            report = run_suite(name, bounds[_SUITES[name][1]], write_case)
         except ValueError as exc:
             return _usage_error("suite %s: %s" % (name, exc))
         if not report.cases:
             return _usage_error(
                 "suite %s ran zero cases; raise its %s bound" % (name, _flag(_SUITES[name][1]))
             )
+        if as_json:
+            failed = len(report.cases) - report.n_passed
+            wall = round(report.wall_time, 3)
+            sys.stdout.write(
+                _VERIFY_SUITE_TAIL % (report.n_passed, failed, wall, _JSON_BOOL[not failed])
+            )
         reports.append(report)
     all_ok = all(r.n_passed == len(r.cases) for r in reports)
-    if args.format == "json":
-        _write_verify_json(reports, all_ok)
+    if as_json:
+        sys.stdout.write('\n  ],\n  "ok": %s\n}\n' % _JSON_BOOL[all_ok])
     else:
         for report in reports:
             total, passed = len(report.cases), report.n_passed
@@ -268,12 +285,8 @@ def cmd_verify(args) -> int:
                 "%s: %d cases, %d passed, %d failed (%.2fs)"
                 % (report.suite, total, passed, total - passed, report.wall_time)
             )
-            for case in report.cases:
-                if not case.passed:
-                    print(
-                        "  FAIL %s: expected %s, got %s"
-                        % (case.inputs, case.expected, case.actual)
-                    )
+            for case in report.failures:
+                print("  FAIL %s: expected %s, got %s" % (case.inputs, case.expected, case.actual))
         if len(reports) > 1:
             print("overall: %s" % ("all suites passed" if all_ok else "FAILURES"))
     return 0 if all_ok else 1

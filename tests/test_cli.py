@@ -1,10 +1,12 @@
 """Command-line behavior: rendering, JSON round-trips, exit codes."""
 
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -297,9 +299,63 @@ def test_run_suite_counts_each_pass_once(monkeypatch):
 
     passing = cli.run_suite("epw2", 6)
     monkeypatch.setitem(cli._SUITES, "closed-vs-recursion", (mixed_suite, "n_max"))
-    failing = cli.run_suite("closed-vs-recursion")
+    written = []
+    failing = cli.run_suite("closed-vs-recursion", write_case=written.append)
     for report, passed in ((passing, 5), (failing, 2)):
-        assert report.n_passed == sum(1 for c in report.cases if c.passed) == passed
+        assert all(type(verdict) is bool for verdict in report.cases)
+        assert report.n_passed == sum(report.cases) == passed
+    # one verdict per case; only the failing record is kept, and every
+    # record went to write_case in order
+    assert failing.cases == [True, False, True]
+    assert passing.failures == []
+    assert failing.failures == [("b", 1, 2, False)]
+    assert written == [("a", 1, 1, True), ("b", 1, 2, False), ("c", 2, 2, True)]
+
+
+def test_verify_streams_cases(capsys, monkeypatch):
+    import uniform_kl.cli as cli
+
+    def failing_suite(n_max=5):
+        yield "a", 1, 1
+        yield "b", 1, 2
+        raise RuntimeError("case c")
+
+    monkeypatch.setitem(cli._SUITES, "closed-vs-recursion", (failing_suite, "n_max"))
+    with pytest.raises(RuntimeError, match="case c"):
+        main(["verify", "closed-vs-recursion", "--format", "json"])
+    out = capsys.readouterr().out
+    # cases a and b were written before case c was computed
+    assert json.loads(out + "\n      ]\n    }\n  ]\n}\n") == {
+        "suites": [
+            {
+                "suite": "closed-vs-recursion",
+                "cases": [
+                    {"inputs": "a", "expected": "1", "actual": "1", "passed": True},
+                    {"inputs": "b", "expected": "1", "actual": "2", "passed": False},
+                ],
+            }
+        ]
+    }
+
+
+class _NullWriter(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_keeps_no_passing_record(monkeypatch, fmt):
+    # 21,904 logconcave cases: their records took about 5 MiB, while
+    # their verdicts take 8 bytes each
+    monkeypatch.setattr(sys, "stdout", _NullWriter())
+    tracemalloc.start()
+    try:
+        code = main(["verify", "logconcave", "--n-max", "300", "--format", fmt])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1 << 20, peak
 
 
 @pytest.mark.parametrize("param, value", [("n_max", 7), ("m_max", 8), ("order", 9)])
@@ -366,6 +422,41 @@ def test_verify_bounds(capsys, suite, bound):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "suite, bound",
+    [
+        (suite, bound)
+        for suite in BOUND_FLAGS
+        for bound in ("-1", "0", "1", "2")
+        if not (bound == "2" and suite in RUNS_AT_TWO)
+    ],
+)
+def test_verify_bounds_json_usage_errors_write_nothing(capsys, suite, bound):
+    # the JSON report streams, but its first bytes go out with the first
+    # case, so a refused bound or a vacuous run leaves stdout empty
+    code, out, err = run(capsys, "verify", suite, BOUND_FLAGS[suite], bound, "--format", "json")
+    assert code == 2, (suite, bound, out)
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_verify_all_json_stops_at_a_vacuous_suite(capsys):
+    # logconcave runs no case at n <= 5; the suites before it are already
+    # written, and the document is left without its closing "ok" (a small
+    # chord bound keeps the brute force quick)
+    code, out, err = run(
+        capsys, "verify", "all", "--n-max", "5", "--m-max", "5", "--format", "json"
+    )
+    assert code == 2
+    assert err == "error: suite logconcave ran zero cases; raise its --n-max bound\n"
+    payload = json.loads(out + "\n  ]\n}\n")
+    assert list(payload) == ["suites"]
+    assert [s["suite"] for s in payload["suites"]] == [
+        "closed-vs-recursion", "chords", "epw2", "functional-eq"
+    ]
+    assert all(s["ok"] for s in payload["suites"])
+
+
 def test_verify_chords_refuses_bound_above_cap(capsys, monkeypatch):
     import uniform_kl.cli as cli
 
@@ -374,10 +465,11 @@ def test_verify_chords_refuses_bound_above_cap(capsys, monkeypatch):
 
     # d_bruteforce stops at 16-gons; the refusal must come before any case runs
     monkeypatch.setattr(cli, "d_bruteforce", no_case)
-    code, out, err = run(capsys, "verify", "chords", "--m-max", "17")
-    assert code == 2
-    assert out == ""
-    assert err == "error: suite chords: m_max=17 exceeds the enumeration cap 16\n"
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "verify", "chords", "--m-max", "17", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == "error: suite chords: m_max=17 exceeds the enumeration cap 16\n"
 
 
 @pytest.mark.parametrize("order", ["-1", "0", "1"])
