@@ -35,9 +35,9 @@ from .symreps import hook_dimension, ih_rep, lemma_key_check, lemma_key_expected
 # verdict.  The sides are rendered with str() only when written.
 CaseRecord = namedtuple("CaseRecord", "inputs expected actual passed")
 
-# One suite run: the verdict of each case, the number that passed, the
-# records of the failing cases, and its wall time.
-SuiteReport = namedtuple("SuiteReport", "suite cases n_passed failures wall_time")
+# One suite run: the verdict of each case, the records of the failing cases,
+# and its wall time.
+SuiteReport = namedtuple("SuiteReport", "cases failures wall_time")
 
 
 def suite_closed_vs_recursion(n_max: int = 25):
@@ -141,7 +141,7 @@ def run_suite(name: str, bound=None, write_case=None) -> SuiteReport:
         if write_case is not None:
             write_case(case)
     wall_time = time.perf_counter() - start
-    return SuiteReport(name, verdicts, sum(verdicts), failures, wall_time)
+    return SuiteReport(verdicts, failures, wall_time)
 
 
 # The table rows and the verify report in the layout of
@@ -250,11 +250,12 @@ def cmd_verify(args) -> int:
         for param, value in bounds.items():
             if value is not None and param != used:
                 return _usage_error("suite %s does not use %s" % (args.suite, _flag(param)))
-    # The JSON report, {"suites": [...], "ok": ...} in the bytes of
-    # print(json.dumps(payload, indent=2)), is written one case at a time;
-    # the text report needs each suite's counts first, so it comes last.
+    # The report is written as the suites run: the JSON report,
+    # {"suites": [...], "ok": ...} in the bytes of
+    # print(json.dumps(payload, indent=2)), one case at a time; the text
+    # report, whose summary line needs the suite's counts, when each suite ends.
     as_json = args.format == "json"
-    reports = []
+    all_ok = True
     for index, name in enumerate(names):
         write_case = None
         if as_json:
@@ -268,27 +269,23 @@ def cmd_verify(args) -> int:
             return _usage_error(
                 "suite %s ran zero cases; raise its %s bound" % (name, _flag(_SUITES[name][1]))
             )
+        failed = len(report.failures)
+        passed = len(report.cases) - failed
+        all_ok = all_ok and not failed
         if as_json:
-            failed = len(report.cases) - report.n_passed
             wall = round(report.wall_time, 3)
-            sys.stdout.write(
-                _VERIFY_SUITE_TAIL % (report.n_passed, failed, wall, _JSON_BOOL[not failed])
-            )
-        reports.append(report)
-    all_ok = all(r.n_passed == len(r.cases) for r in reports)
+            sys.stdout.write(_VERIFY_SUITE_TAIL % (passed, failed, wall, _JSON_BOOL[not failed]))
+            continue
+        print(
+            "%s: %d cases, %d passed, %d failed (%.2fs)"
+            % (name, len(report.cases), passed, failed, report.wall_time)
+        )
+        for case in report.failures:
+            print("  FAIL %s: expected %s, got %s" % (case.inputs, case.expected, case.actual))
     if as_json:
         sys.stdout.write('\n  ],\n  "ok": %s\n}\n' % _JSON_BOOL[all_ok])
-    else:
-        for report in reports:
-            total, passed = len(report.cases), report.n_passed
-            print(
-                "%s: %d cases, %d passed, %d failed (%.2fs)"
-                % (report.suite, total, passed, total - passed, report.wall_time)
-            )
-            for case in report.failures:
-                print("  FAIL %s: expected %s, got %s" % (case.inputs, case.expected, case.actual))
-        if len(reports) > 1:
-            print("overall: %s" % ("all suites passed" if all_ok else "FAILURES"))
+    elif len(names) > 1:
+        print("overall: %s" % ("all suites passed" if all_ok else "FAILURES"))
     return 0 if all_ok else 1
 
 

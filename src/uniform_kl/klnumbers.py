@@ -270,8 +270,8 @@ def check_epw2(n: int):
     return (not residual, residual)
 
 
-class LogConcaveTriple(namedtuple("LogConcaveTriple", "n i lower middle upper")):
-    """One strictness check c(n, i)^2 > c(n, i-1) * c(n, i+1)."""
+class LogConcaveTriple(namedtuple("LogConcaveTriple", "n i lower middle upper margin")):
+    """One strictness check c(n, i)^2 > c(n, i-1) * c(n, i+1) and its margin."""
 
     __slots__ = ()
 
@@ -279,10 +279,6 @@ class LogConcaveTriple(namedtuple("LogConcaveTriple", "n i lower middle upper"))
         return "n=%d i=%d: %d^2 vs %d*%d (margin %d)" % (
             self.n, self.i, self.middle, self.lower, self.upper, self.margin
         )
-
-    @property
-    def margin(self) -> int:
-        return self.middle ** 2 - self.lower * self.upper
 
     @property
     def strict(self) -> bool:
@@ -297,6 +293,6 @@ def check_logconcave(n: int):
     """
     row = kl_poly(n).coeffs
     return [
-        LogConcaveTriple(n, i, row[i - 1], row[i], row[i + 1])
-        for i in range(1, n // 2 - 1)
+        LogConcaveTriple(n, i, lower, middle, upper, middle ** 2 - lower * upper)
+        for i, (lower, middle, upper) in enumerate(zip(row, row[1:], row[2:]), 1)
     ]

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -303,7 +304,7 @@ def test_run_suite_counts_each_pass_once(monkeypatch):
     failing = cli.run_suite("closed-vs-recursion", write_case=written.append)
     for report, passed in ((passing, 5), (failing, 2)):
         assert all(type(verdict) is bool for verdict in report.cases)
-        assert report.n_passed == sum(report.cases) == passed
+        assert len(report.cases) - len(report.failures) == sum(report.cases) == passed
     # one verdict per case; only the failing record is kept, and every
     # record went to write_case in order
     assert failing.cases == [True, False, True]
@@ -455,6 +456,21 @@ def test_verify_all_json_stops_at_a_vacuous_suite(capsys):
         "closed-vs-recursion", "chords", "epw2", "functional-eq"
     ]
     assert all(s["ok"] for s in payload["suites"])
+
+
+def test_verify_all_text_stops_at_a_vacuous_suite(capsys):
+    # the text twin of the JSON test above: each suite's summary goes out
+    # when the suite ends, so the suites before logconcave are written and
+    # no overall line follows
+    code, out, err = run(capsys, "verify", "all", "--n-max", "5", "--m-max", "5")
+    assert code == 2
+    assert err == "error: suite logconcave ran zero cases; raise its --n-max bound\n"
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "closed-vs-recursion", "chords", "epw2", "functional-eq"
+    ]
+    summary = r"[a-z0-9-]+: (\d+) cases, \1 passed, 0 failed \([0-9.]+s\)"
+    assert all(re.fullmatch(summary, line) for line in lines), lines
 
 
 def test_verify_chords_refuses_bound_above_cap(capsys, monkeypatch):

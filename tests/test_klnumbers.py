@@ -347,6 +347,7 @@ def test_logconcave_frozen_triples():
         (1, 1, 27, 120),
         (2, 27, 120, 84),
     ]
+    assert tuple(triples[0]) == (9, 1, 1, 27, 120, 609)
     assert triples[0].margin == 729 - 120
     assert str(triples[0]) == "n=9 i=1: 27^2 vs 1*120 (margin 609)"
     assert triples[1].margin == 14400 - 2268
