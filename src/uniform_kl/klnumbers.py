@@ -11,6 +11,7 @@ coefficient rows are checked by dedicated functions.
 import functools
 import math
 from collections import namedtuple
+from itertools import zip_longest
 
 from .polynomial import UniPoly
 
@@ -155,6 +156,7 @@ class KLTable:
     def __init__(self, max_n: int):
         if max_n < 2:
             raise ValueError("need max_n >= 2, got %d" % max_n)
+        self.max_n = max_n
         self.cells = {}
         self.sums = {}
         top = (max_n - 2) // 2  # highest i of any stored row
@@ -188,10 +190,10 @@ def c_recursion(n: int, i: int, table: KLTable) -> int:
     KLTable fills table.sums[s, j] once, from row s's signed Pascal row.
     As j steps, s = i+j+1 steps by one, so C(n, s) is stepped from C(n, i).
 
-    `table` was built to at least n, or is being built and has completed
-    every row below n.  Every inner-sum term satisfies 2j <= k - 2, so the
-    stored band is enough and the vanishing convention never hides a value
-    the sum actually needs.
+    `table` was built to at least n (a larger n raises ValueError), or is
+    being built and has completed every row below n.  Every inner-sum term
+    satisfies 2j <= k - 2, so the stored band is enough and the vanishing
+    convention never hides a value the sum actually needs.
 
     The vanishing rule is applied to the queried cell as well: the double
     sum characterizes the coefficients only below the vanishing threshold
@@ -202,6 +204,8 @@ def c_recursion(n: int, i: int, table: KLTable) -> int:
         raise ValueError("need n >= 2, got n=%d" % n)
     if i < 0:
         raise ValueError("need i >= 0, got i=%d" % i)
+    if n > table.max_n:
+        raise ValueError("n=%d exceeds the table bound max_n=%d" % (n, table.max_n))
     if 2 * i >= n - 1:
         return 0
     weight = math.comb(n, i)
@@ -240,15 +244,15 @@ def kl_poly(n: int) -> UniPoly:
 
 def twisted_binomial_sum(phi) -> UniPoly:
     """sum over 1 <= k <= N of C(N, k) (t-1)^(N-k) phi[k-1], N = len(phi), by
-    Horner in t - 1 with k ascending: one product by the linear factor per k.
-    The degree-reversal identity and the functional equation both read their
-    twisted sums from it."""
-    t_minus_1 = UniPoly((-1, 1))
+    Horner in t - 1 with k ascending: per k, one shift-and-subtract on the
+    coefficient row (up one degree, less itself) and one scalar product.  The
+    degree-reversal identity and the functional equation read their sums here."""
     n = len(phi)
-    acc = UniPoly()
+    row = []
     for k, p in enumerate(phi, 1):
-        acc = acc * t_minus_1 + math.comb(n, k) * p
-    return acc
+        term = (math.comb(n, k) * p).coeffs
+        row = [a - b + c for a, b, c in zip_longest([0] + row, row, term, fillvalue=0)]
+    return UniPoly(row)
 
 
 def check_epw2(n: int):

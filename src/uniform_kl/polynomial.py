@@ -107,11 +107,8 @@ class UniPoly:
             return NotImplemented
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
             for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
+                out[i + j] += a * b
         return UniPoly(out)
 
     __rmul__ = __mul__

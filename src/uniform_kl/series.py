@@ -81,9 +81,7 @@ class USeries:
             if not a:
                 continue
             for j in range(self.order - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
+                out[i + j] = out[i + j] + a * other.coeffs[j]
         return USeries(self.order, out)
 
     __rmul__ = __mul__
@@ -100,7 +98,7 @@ class USeries:
             acc = UniPoly()
             for j in range(1, k + 1):
                 sj = self.coeffs[j]
-                if sj and out[k - j]:
+                if sj:
                     acc += sj * out[k - j]
             out.append(acc * -unit)
         return USeries(self.order, out)

@@ -239,6 +239,17 @@ def test_grouped_recursion_matches_literal_double_sum():
             assert c_recursion(n, i, table) == literal_double_sum(n, i, table), (n, i)
 
 
+def test_c_recursion_refuses_rows_past_its_table():
+    # row 12 reads only inner sums that KLTable(10) happens to store; row 30
+    # reads (6, 0), which it does not
+    table = KLTable(10)
+    for n, i in ((12, 2), (30, 5)):
+        with pytest.raises(ValueError, match="^n=%d exceeds the table bound max_n=10$" % n):
+            c_recursion(n, i, table)
+    with pytest.raises(KeyError):
+        table.get(12, 2)
+
+
 def test_kl_table_keeps_one_inner_sum_per_pair():
     # one entry per (s, j) = (i + j + 1, j) with 0 <= j < i <= 49: C(50, 2)
     assert len(KLTable(100).sums) == 1225
@@ -331,11 +342,31 @@ def test_check_epw2_detects_one_coefficient_off(monkeypatch, n, k, e):
 @given(st.lists(st.builds(UniPoly, st.lists(st.integers(-9, 9), max_size=5)), max_size=12))
 @example([])
 @example([UniPoly([3, -1])])
+@example([UniPoly(), UniPoly([0, 0, 0, 7])])  # an entry longer than the running row
+@example([UniPoly([1, 0, -2]), UniPoly(), UniPoly([0, 5])])  # interior zeros
+@example([UniPoly()] * 3)  # the zero polynomial
 def test_twisted_binomial_sum_matches_literal_sum(phi):
     # the Horner kernel against sum_k C(N, k) (t-1)^(N-k) phi[k-1] term by term
     n = len(phi)
     terms = [math.comb(n, k) * UniPoly((-1, 1)) ** (n - k) * phi[k - 1] for k in range(1, n + 1)]
     assert twisted_binomial_sum(phi) == sum(terms, UniPoly())
+
+
+def test_twisted_binomial_sum_forms_no_polynomial_product(monkeypatch):
+    # the step by t - 1 is a shift on the coefficient row; the only products
+    # left are the scalar ones C(N, k) * phi[k-1]
+    phi = [UniPoly()] + [kl_poly(k) for k in range(2, 13)]
+    real = UniPoly.__mul__
+    operands = []
+
+    def recording(self, other):
+        operands.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(UniPoly, "__mul__", recording)
+    monkeypatch.setattr(UniPoly, "__rmul__", recording)
+    twisted_binomial_sum(phi)
+    assert operands and all(int in (type(a), type(b)) for a, b in operands)
 
 
 # ------------------------------------------------------------ logconcave

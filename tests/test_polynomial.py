@@ -71,6 +71,7 @@ def test_basic_arithmetic():
     assert (t - 1) ** 2 == UniPoly([1, -2, 1])
     assert t ** 0 == 1
     assert UniPoly() * t == t * UniPoly() == UniPoly() * UniPoly() == 0
+    assert UniPoly([0, 0, 3]) * UniPoly([2, 0, -1]) == UniPoly([0, 0, 6, 0, -3])
 
 
 def test_power_takes_only_nonnegative_int_exponents():

@@ -86,6 +86,10 @@ def test_truncated_product():
     t = UniPoly([0, 1])
     s = USeries(3, [1, t]) * USeries(3, [1, -t])
     assert s == USeries(3, [1, 0, UniPoly([0, 0, -1])])
+    # (1 + t u) (2 + (t - 1) u^2 + 3 u^4), a right factor with zero slots,
+    # written out slot by slot; 3t u^5 is truncated away
+    s = USeries(5, [1, t]) * USeries(5, [2, 0, UniPoly([-1, 1]), 0, 3])
+    assert s == USeries(5, [2, UniPoly([0, 2]), UniPoly([-1, 1]), UniPoly([0, -1, 1]), 3])
 
 
 @given(series, series, series)
