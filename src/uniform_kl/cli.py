@@ -20,23 +20,20 @@ from json.encoder import encode_basestring_ascii as _quote
 from .klnumbers import (
     D_BRUTEFORCE_MAX_M,
     KLTable,
+    _epw2_residual,
     c_closed,
-    check_epw2,
     check_logconcave,
     d_bruteforce,
     d_cayley,
     kl_poly,
 )
+from .polynomial import UniPoly
 from .series import USeries, check_functional_equation, g_series, phi_from_table
 from .symreps import hook_dimension, ih_rep, lemma_key_check, lemma_key_expected, verify_main2
 
 
-# One verified statement: the inputs, both sides as computed, and the
-# verdict.  The sides are rendered with str() only when written.
-CaseRecord = namedtuple("CaseRecord", "inputs expected actual passed")
-
-# One suite run: the verdict of each case, the records of the failing cases,
-# and its wall time.
+# One suite run: the verdict of each case, the failing cases as
+# (inputs, expected, actual, passed) tuples, and its wall time.
 SuiteReport = namedtuple("SuiteReport", "cases failures wall_time")
 
 
@@ -64,10 +61,13 @@ def suite_chords(m_max: int = 12):
 
 
 def suite_epw2(n_max: int = 20):
-    """Degree-reversal identity: the residual must be the zero polynomial."""
+    """Degree-reversal identity: the residual must be the zero polynomial.
+    One row list [0, P_2, ..., P_n] grows by P_n per n, so each row is built
+    once."""
+    rows = [UniPoly()]
     for n in range(2, n_max + 1):
-        _, residual = check_epw2(n)
-        yield "n=%d" % n, "0", str(residual)
+        rows.append(kl_poly(n))
+        yield "n=%d" % n, "0", str(_epw2_residual(rows))
 
 
 def suite_functional_eq(order: int = 12):
@@ -127,16 +127,18 @@ _SUITES = {
 
 def run_suite(name: str, bound=None, write_case=None) -> SuiteReport:
     """Run one named suite at the value of its bound option (None for its
-    default).  Each (inputs, expected, actual) triple becomes a CaseRecord
-    with its verdict, handed to `write_case` as soon as it is made; the
-    report keeps the verdicts and only the failing records."""
+    default).  Each (inputs, expected, actual) triple becomes the case
+    (inputs, expected, actual, passed), handed to `write_case` as soon as it
+    is made; the sides are rendered with str() only when written.  The
+    report keeps the verdicts and only the failing cases."""
     func = _SUITES[name][0]
     start = time.perf_counter()
     verdicts, failures = [], []
     for inputs, expected, actual in func() if bound is None else func(bound):
-        case = CaseRecord(inputs, expected, actual, expected == actual)
-        verdicts.append(case.passed)
-        if not case.passed:
+        passed = expected == actual
+        case = (inputs, expected, actual, passed)
+        verdicts.append(passed)
+        if not passed:
             failures.append(case)
         if write_case is not None:
             write_case(case)
@@ -167,10 +169,11 @@ def _json_case_writer(head):
     write = sys.stdout.write
     sep = head
 
-    def write_case(c):
+    def write_case(case):
         nonlocal sep
-        sides = _quote(str(c.inputs)), _quote(str(c.expected)), _quote(str(c.actual))
-        write(_VERIFY_CASE % (sep, *sides, _JSON_BOOL[c.passed]))
+        inputs, expected, actual, passed = case
+        sides = _quote(str(inputs)), _quote(str(expected)), _quote(str(actual))
+        write(_VERIFY_CASE % (sep, *sides, _JSON_BOOL[passed]))
         sep = ",\n"
 
     return write_case
@@ -280,8 +283,8 @@ def cmd_verify(args) -> int:
             "%s: %d cases, %d passed, %d failed (%.2fs)"
             % (name, len(report.cases), passed, failed, report.wall_time)
         )
-        for case in report.failures:
-            print("  FAIL %s: expected %s, got %s" % (case.inputs, case.expected, case.actual))
+        for inputs, expected, actual, _ in report.failures:
+            print("  FAIL %s: expected %s, got %s" % (inputs, expected, actual))
     if as_json:
         sys.stdout.write('\n  ],\n  "ok": %s\n}\n' % _JSON_BOOL[all_ok])
     elif len(names) > 1:

@@ -263,15 +263,23 @@ def check_epw2(n: int):
     sum_{k>=2} C(n, k) (t-1)^(n-k) P_k(t).  Returns (holds, residual);
     `residual` is the polynomial difference, zero exactly when it holds.
     """
-    lhs = kl_poly(n).reverse(n - 1)
+    if n < 2:
+        raise ValueError("need n >= 2, got n=%d" % n)
+    residual = _epw2_residual([UniPoly()] + [kl_poly(k) for k in range(2, n + 1)])
+    return (not residual, residual)
+
+
+def _epw2_residual(rows) -> UniPoly:
+    """Residual of the degree-reversal identity for P_n from the row list
+    [0, P_2, ..., P_n], n = len(rows): slot k - 1 holds P_k, and the k = 1
+    slot is zero, as the twisted sum starts at k = 2.  A caller that checks
+    every n up to a bound grows one list by a row per n."""
+    n = len(rows)
+    lhs = rows[-1].reverse(n - 1)
     # binomial theorem: t^e comes from j = n-1-e alone; the -1 terms sum to (-1)^n
     row = [(-1) ** (n - 1 - e) * math.comb(n, e + 1) for e in range(n)]
     row[0] += (-1) ** n
-    rhs = UniPoly(row)
-    # slot k - 1 holds P_k; the k = 1 slot is zero, as the sum starts at k = 2
-    twisted = twisted_binomial_sum([UniPoly()] + [kl_poly(k) for k in range(2, n + 1)])
-    residual = lhs - (rhs + twisted)
-    return (not residual, residual)
+    return lhs - (UniPoly(row) + twisted_binomial_sum(rows))
 
 
 class LogConcaveTriple(namedtuple("LogConcaveTriple", "n i lower middle upper margin")):

@@ -31,8 +31,9 @@ __all__ = [
 
 
 class Partition(tuple):
-    """Weakly decreasing tuple of positive integers; the empty partition is
-    allowed and indexes the trivial module of S_0."""
+    """The one shape check: a weakly decreasing tuple of positive integers;
+    the empty partition is allowed and indexes the trivial module of S_0.
+    Shapes built by construction stay plain tuples."""
 
     __slots__ = ()
 
@@ -43,33 +44,16 @@ class Partition(tuple):
             raise ValueError("not a partition: %r" % (parts,))
         return tuple.__new__(cls, parts)
 
-    @property
-    def size(self) -> int:
-        return sum(self)
-
-    def conjugate(self) -> "Partition":
-        if not self:
-            return Partition()
-        return Partition(tuple(sum(1 for p in self if p > c) for c in range(self[0])))
-
-    def contains(self, other) -> bool:
-        """Row-by-row containment of Young diagrams."""
-        if len(other) > len(self):
-            return False
-        return all(o <= s for s, o in zip(self, other))
-
-    def __repr__(self):
-        return "Partition(%s)" % (tuple(self),)
-
 
 @cache
 def partitions_of(n: int):
-    """All partitions of n, in descending lexicographic order."""
+    """All partitions of n, in descending lexicographic order, as plain
+    tuples: they are partitions by construction."""
     out = []
 
     def rec(remaining, largest, prefix):
         if remaining == 0:
-            out.append(Partition(prefix))
+            out.append(prefix)
             return
         for p in range(min(largest, remaining), 0, -1):
             rec(remaining - p, p, prefix + (p,))
@@ -83,12 +67,13 @@ def hook_dimension(lam) -> int:
     """Dimension of the irreducible S_n module indexed by lam, by the
     hook-length formula n! / prod(hooks)."""
     lam = Partition(lam)
-    conj = lam.conjugate()
+    # conj[c] is the length of column c
+    conj = [sum(1 for p in lam if p > c) for c in range(lam[0] if lam else 0)]
     hooks = 1
     for r, row in enumerate(lam):
         for c in range(row):
             hooks *= row - c + conj[c] - r - 1
-    dim, rem = divmod(math.factorial(lam.size), hooks)
+    dim, rem = divmod(math.factorial(sum(lam)), hooks)
     if rem:
         raise ArithmeticError("hook product must divide the factorial")
     return dim
@@ -106,7 +91,9 @@ def lr_coefficient(nu, mu, lam) -> int:
     the search one cell at a time.
     """
     nu, mu, lam = Partition(nu), Partition(mu), Partition(lam)
-    if mu.size + lam.size != nu.size or not nu.contains(lam):
+    # nu/lam is a skew shape only when lam fits inside nu, row by row
+    inside = len(lam) <= len(nu) and all(b <= a for a, b in zip(nu, lam))
+    if not inside or sum(mu) + sum(lam) != sum(nu):
         return 0
     cells = []
     for r, row in enumerate(nu):
@@ -159,12 +146,10 @@ class VirtualRep:
             if type(mult) is not int:
                 raise TypeError("multiplicities must be int, got %s" % type(mult).__name__)
             if mult:
-                lam = Partition(lam)
-                if lam.size != n:
-                    raise ValueError(
-                        "partition %r has size %d, expected %d" % (tuple(lam), lam.size, n)
-                    )
-                self.terms[tuple(lam)] = mult
+                lam = tuple(Partition(lam))
+                if sum(lam) != n:
+                    raise ValueError("partition %r has size %d, expected %d" % (lam, sum(lam), n))
+                self.terms[lam] = mult
 
     @classmethod
     def _built(cls, n, terms):

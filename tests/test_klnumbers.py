@@ -326,6 +326,31 @@ def test_check_epw2_alternating_row_matches_literal_sum(monkeypatch):
         assert -residual == literal, n
 
 
+def test_check_epw2_builds_each_row_once(monkeypatch):
+    real, built = klnumbers.kl_poly, []
+    monkeypatch.setattr(klnumbers, "kl_poly", lambda m: built.append(m) or real(m))
+    assert check_epw2(9) == (True, UniPoly())
+    assert built == list(range(2, 10))
+    with pytest.raises(ValueError, match="^need n >= 2, got n=1$"):
+        check_epw2(1)
+
+
+def test_epw2_suite_builds_each_row_once(monkeypatch):
+    # one row list grows through the suite: P_n is built once, not once per
+    # n' >= n as when every case called check_epw2 afresh
+    real, built = klnumbers.kl_poly, []
+
+    def counting(m):
+        built.append(m)
+        return real(m)
+
+    monkeypatch.setattr(klnumbers, "kl_poly", counting)
+    monkeypatch.setattr(cli, "kl_poly", counting)
+    report = cli.run_suite("epw2", 60)
+    assert len(report.cases) == 59 and all(report.cases)
+    assert built == list(range(2, 61))
+
+
 @pytest.mark.parametrize("n, k, e", [(4, 2, 0), (7, 3, 0), (10, 6, 2), (12, 9, 1), (12, 11, 4)])
 def test_check_epw2_detects_one_coefficient_off(monkeypatch, n, k, e):
     # P_k with its t^e coefficient one too high shifts the twisted sum by

@@ -107,6 +107,20 @@ def sorted_partition(parts):
     return Partition(tuple(sorted(parts, reverse=True)))
 
 
+def _conjugate(lam):
+    """Column lengths of the Young diagram of lam, counted cell by cell."""
+    columns = [0] * (lam[0] if lam else 0)
+    for row in lam:
+        for c in range(row):
+            columns[c] += 1
+    return tuple(columns)
+
+
+def _contains(nu, lam):
+    """Row-by-row containment of the Young diagram of lam in that of nu."""
+    return len(lam) <= len(nu) and all(b <= a for a, b in zip(nu, lam))
+
+
 partitions_strategy = st.builds(sorted_partition, st.lists(st.integers(1, 5), max_size=4))
 # |mu|, |lam| <= 12, so a full sweep over nu meets at most p(24) = 1575 shapes
 small_partitions = st.builds(sorted_partition, st.lists(st.integers(1, 4), max_size=3))
@@ -132,7 +146,7 @@ hooks_strategy = st.integers(0, 6).flatmap(lambda size: st.sampled_from(hooks_of
 def test_partition_construction():
     assert Partition((3, 1, 1)) == (3, 1, 1)
     assert Partition() == ()
-    assert Partition((3, 1)).size == 4
+    assert sum(Partition((3, 1))) == 4
     with pytest.raises(ValueError):
         Partition((1, 2))
     with pytest.raises(ValueError):
@@ -145,21 +159,29 @@ def test_partition_construction():
 
 
 def test_conjugate():
-    assert Partition((4, 2, 1)).conjugate() == (3, 2, 1, 1)
-    assert Partition((2, 2)).conjugate() == (2, 2)
-    assert Partition().conjugate() == ()
+    assert _conjugate((4, 2, 1)) == (3, 2, 1, 1)
+    assert _conjugate((2, 2)) == (2, 2)
+    assert _conjugate(()) == ()
+    # hook_dimension reads the column lengths of its shape
+    assert hook_dimension((4, 2, 1)) == hook_dimension((3, 2, 1, 1)) == 35
 
 
 @given(partitions_strategy)
-def test_conjugate_is_an_involution(lam):
-    assert lam.conjugate().conjugate() == lam
+def test_hook_dimension_is_invariant_under_conjugation(lam):
+    conj = _conjugate(lam)
+    assert _conjugate(conj) == lam
+    assert hook_dimension(lam) == hook_dimension(conj)
 
 
 def test_contains():
-    assert Partition((3, 2)).contains(Partition((2, 2)))
-    assert Partition((3, 2)).contains(Partition(()))
-    assert not Partition((3, 2)).contains(Partition((1, 1, 1)))
-    assert not Partition((3, 2)).contains(Partition((4,)))
+    assert _contains((3, 2), (2, 2)) and _contains((3, 2), ())
+    assert not _contains((3, 2), (1, 1, 1)) and not _contains((3, 2), (4,))
+    # lr_coefficient counts no filling when lam does not fit inside nu,
+    # whatever mu of the right size
+    for lam in ((1, 1, 1), (4,)):
+        for mu in partitions_of(5 - sum(lam)):
+            assert lr_coefficient((3, 2), mu, lam) == 0, (mu, lam)
+    assert lr_coefficient((3, 2), (1,), (2, 2)) == 1
 
 
 def test_partitions_of():
@@ -175,6 +197,22 @@ def test_partitions_of():
     # partition numbers 1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42
     counts = [len(partitions_of(n)) for n in range(11)]
     assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+
+
+def test_partitions_of_yields_plain_tuples_unchecked(monkeypatch):
+    # its shapes are partitions by construction, so none meets the check
+    checked = []
+    real = Partition.__new__
+    monkeypatch.setattr(
+        Partition, "__new__", lambda cls, parts=(): checked.append(parts) or real(cls, parts)
+    )
+    partitions_of.cache_clear()
+    try:
+        shapes = partitions_of(6)
+    finally:
+        partitions_of.cache_clear()
+    assert checked == []
+    assert len(shapes) == 11 and all(type(lam) is tuple for lam in shapes)
 
 
 # -------------------------------------------------------------- dimensions
@@ -230,7 +268,7 @@ def test_lr_against_filter_oracle():
         for nu in partitions_of(n):
             for lamsize in range(n + 1):
                 for lam in partitions_of(lamsize):
-                    if not nu.contains(lam):
+                    if not _contains(nu, lam):
                         continue
                     for mu in partitions_of(n - lamsize):
                         assert lr_coefficient(nu, mu, lam) == lr_filter_oracle(
@@ -245,7 +283,7 @@ def test_lr_against_filter_oracle():
 @settings(max_examples=60, deadline=None)
 @given(small_partitions, small_partitions)
 def test_lr_symmetry(mu, lam):
-    for nu in partitions_of(mu.size + lam.size):
+    for nu in partitions_of(sum(mu) + sum(lam)):
         assert lr_coefficient(nu, mu, lam) == lr_coefficient(nu, lam, mu)
 
 
@@ -389,7 +427,7 @@ def assert_product_matches_lr(mu, lam):
     """Compare every multiplicity of induce_product(mu, lam) with the LR
     backtracker; returns the number of comparisons."""
     out = induce_product(irreducible(mu), irreducible(lam))
-    shapes = partitions_of(mu.size + lam.size)
+    shapes = partitions_of(sum(mu) + sum(lam))
     for nu in shapes:
         assert out.terms.get(nu, 0) == lr_coefficient(nu, mu, lam), (nu, mu, lam)
     return len(shapes)
@@ -447,9 +485,9 @@ def test_induce_product_needs_a_hook_on_the_left():
 @settings(max_examples=40, deadline=None)
 @given(hooks_strategy, partitions_strategy)
 def test_induce_dimension_bilinearity(mu, lam):
-    n = mu.size + lam.size
+    n = sum(mu) + sum(lam)
     out = induce_product(irreducible(mu), irreducible(lam))
-    assert out.dimension() == comb(n, mu.size) * hook_dimension(mu) * hook_dimension(lam)
+    assert out.dimension() == comb(n, sum(mu)) * hook_dimension(mu) * hook_dimension(lam)
 
 
 # ---------------------------------------------------------- exterior power
