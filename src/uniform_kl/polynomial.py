@@ -14,9 +14,11 @@ class UniPoly:
 
     Coefficients are stored densely, indexed by exponent, with trailing
     zeros trimmed; the zero polynomial has an empty coefficient tuple.
-    Any coefficient or scalar operand that is not an int (a float, a
-    rational, a bool) raises TypeError, so no inexact or rational value can
-    enter the arithmetic; a bool compares unequal.
+    `+` and `-` take another UniPoly only (a constant is `UniPoly((c,))`);
+    `*` also takes an int scalar on either side.  Any other operand, and any
+    coefficient that is not an int (a float, a rational, a bool), raises
+    TypeError, so no inexact or rational value can enter the arithmetic; a
+    bool compares unequal.
     Instances are immutable by convention but not hashable: they compare
     equal to plain ints, and equal values must hash alike.
     """
@@ -83,21 +85,15 @@ class UniPoly:
         return self.coeffs == other.coeffs
 
     def __add__(self, other):
-        if type(other) is int:
-            other = UniPoly((other,))
         if not isinstance(other, UniPoly):
             return NotImplemented
         pad = (0,) * abs(len(self.coeffs) - len(other.coeffs))
         return UniPoly([a + b for a, b in zip(self.coeffs + pad, other.coeffs + pad)])
 
-    __radd__ = __add__
-
     def __neg__(self):
         return UniPoly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, bool):  # -True is the int -1
-            return NotImplemented
         return self + -other
 
     def __mul__(self, other):

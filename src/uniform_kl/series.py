@@ -23,8 +23,10 @@ __all__ = [
 
 class USeries:
     """Power series in u truncated at order N: slots for u^0 .. u^(N-1),
-    each a UniPoly in t with int coefficients; scalars given to the
-    constructor must be ints.  Operations require equal truncation orders."""
+    each a UniPoly in t with int coefficients; the constructor also reads
+    an int as a constant coefficient.  `+`, `-` and `*` take another
+    USeries of the same order (ValueError otherwise); `*` also takes an int
+    on the right.  A constant series is `USeries(order, [c])`."""
 
     __slots__ = ("order", "coeffs")
 
@@ -53,25 +55,19 @@ class USeries:
         return self.order == other.order and self.coeffs == other.coeffs
 
     def __add__(self, other):
-        if isinstance(other, (int, UniPoly)):
-            other = USeries(self.order, [other])
         if not isinstance(other, USeries):
             return NotImplemented
         self._same_order(other)
         return USeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    __radd__ = __add__
-
     def __neg__(self):
         return USeries(self.order, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, bool):  # -True is the int -1
-            return NotImplemented
         return self + -other
 
     def __mul__(self, other):
-        if isinstance(other, (int, UniPoly)):
+        if type(other) is int:
             return USeries(self.order, [c * other for c in self.coeffs])
         if not isinstance(other, USeries):
             return NotImplemented
@@ -83,8 +79,6 @@ class USeries:
             for j in range(self.order - i):
                 out[i + j] = out[i + j] + a * other.coeffs[j]
         return USeries(self.order, out)
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "USeries":
         """Multiplicative inverse; the u^0 coefficient must be the constant
@@ -131,7 +125,8 @@ class USeries:
 
     def substitute(self, inner: "USeries") -> "USeries":
         """Compose, replacing u by `inner`; `inner` must have zero constant
-        term so the truncation stays meaningful.  Horner evaluation."""
+        term so the truncation stays meaningful.  Horner evaluation, each
+        coefficient added as the constant series `USeries(order, [c])`."""
         self._same_order(inner)
         if inner.coeffs[0]:
             raise ValueError("inner series must have zero u^0 coefficient")
@@ -139,7 +134,7 @@ class USeries:
         for c in reversed(self.coeffs):
             out = out * inner
             if c:
-                out = out + c
+                out = out + USeries(self.order, [c])
         return out
 
     def __str__(self):

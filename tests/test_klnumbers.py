@@ -321,7 +321,7 @@ def test_check_epw2_alternating_row_matches_literal_sum(monkeypatch):
         literal = UniPoly()
         for j in range(n):
             term = (0,) * (n - j - 1) + (1,)
-            literal += (-1) ** j * math.comb(n, j) * (UniPoly(term) - 1)
+            literal += (-1) ** j * math.comb(n, j) * (UniPoly(term) - UniPoly((1,)))
         _, residual = check_epw2(n)
         assert -residual == literal, n
 

@@ -47,6 +47,18 @@ def test_non_integer_coefficients_rejected():
                 op()
     assert (UniPoly([1]) == True) is False  # noqa: E712
     assert UniPoly() != False  # noqa: E712
+    # `+` and `-` take only their own type, `*` an int scalar besides; a
+    # constant is spelled UniPoly((c,)) or USeries(order, [c])
+    for op in (
+        lambda: p + 1, lambda: 1 + p, lambda: p - 1,
+        lambda: s + 1, lambda: 1 + s, lambda: s + p, lambda: s - p,
+        lambda: 2 * s, lambda: s * p,
+    ):
+        with pytest.raises(TypeError):
+            op()
+    assert p * 2 == 2 * p == UniPoly([2, 4])
+    assert s * 2 == USeries(3, [2, 4])
+    assert UniPoly([1]) == 1
 
 
 def test_equality_with_scalars():
@@ -63,12 +75,12 @@ def test_equal_to_scalars_hence_unhashable():
 
 
 def test_basic_arithmetic():
-    t = UniPoly([0, 1])
-    p = (t - 1) * (t + 1)
+    t, one = UniPoly([0, 1]), UniPoly((1,))
+    p = (t - one) * (t + one)
     assert p == UniPoly([-1, 0, 1])
-    assert p + 1 == t * t
+    assert p + one == t * t
     assert 2 * t == UniPoly([0, 2])
-    assert (t - 1) ** 2 == UniPoly([1, -2, 1])
+    assert (t - one) ** 2 == UniPoly([1, -2, 1])
     assert t ** 0 == 1
     assert UniPoly() * t == t * UniPoly() == UniPoly() * UniPoly() == 0
     assert UniPoly([0, 0, 3]) * UniPoly([2, 0, -1]) == UniPoly([0, 0, 6, 0, -3])
@@ -99,17 +111,17 @@ def test_reverse_is_an_involution(p, extra):
 
 
 def test_divexact():
-    t = UniPoly([0, 1])
-    num = (t - 1) * (t + 2) * 3
-    assert num.divexact(t - 1) == 3 * (t + 2)
+    t, one, two = UniPoly([0, 1]), UniPoly((1,)), UniPoly((2,))
+    num = (t - one) * (t + two) * 3
+    assert num.divexact(t - one) == 3 * (t + two)
     assert UniPoly().divexact(t) == 0
     assert UniPoly().divexact(t * t) == 0
     with pytest.raises(ArithmeticError):
-        (t + 1).divexact(t)
+        (t + one).divexact(t)
     with pytest.raises(ArithmeticError, match="^1 is not divisible by t$"):
         UniPoly((1,)).divexact(t)  # dividend of lower degree than the divisor
     with pytest.raises(ArithmeticError):
-        (t + 1).divexact(UniPoly([2]))  # the quotient is not in Z[t]
+        (t + one).divexact(two)  # the quotient is not in Z[t]
     with pytest.raises(ZeroDivisionError):
         t.divexact(UniPoly())
     for divisor in (2, 2.0, "2", True):  # named in the error, not an AttributeError

@@ -124,7 +124,7 @@ def test_inverse_requires_constant_unit():
 
 @given(series, st.sampled_from((1, -1)))
 def test_inverse_roundtrip(s, c0):
-    s = s + USeries(ORDER, [-s.coeffs[0] + c0])
+    s = s + USeries(ORDER, [-s.coeffs[0] + UniPoly((c0,))])
     assert s * s.inverse() == USeries(ORDER, [1])
 
 
@@ -183,7 +183,7 @@ def test_sqrt_squaring_check_catches_one_corrupted_coefficient(monkeypatch, orde
 
     def off_by_one_at_last(self, other):
         out = divexact(self, other)
-        return out + 1 if other == 2 * (order - 1) else out
+        return out + UniPoly((1,)) if other == 2 * (order - 1) else out
 
     monkeypatch.setattr(UniPoly, "divexact", off_by_one_at_last)
     with pytest.raises(ArithmeticError, match="does not square back"):
@@ -210,7 +210,7 @@ def test_sqrt_of_dissection_radicand_makes_linearly_many_products(monkeypatch, o
 
 @given(series)
 def test_sqrt_roundtrip(r):
-    r = r + USeries(ORDER, [-r.coeffs[0] + 1])
+    r = r + USeries(ORDER, [-r.coeffs[0] + UniPoly((1,))])
     assert (r * r).sqrt() == r
 
 
