@@ -92,10 +92,10 @@ def d_bruteforce(m: int, k: int) -> int:
 
     Serves as an enumeration oracle for d_cayley: it reads only
     polygon_diagonals and diagonals_cross.  One cached count per m-gon
-    splits on each diagonal in turn (left out, or taken with every diagonal
-    it crosses), memoised on the set of diagonals still free.  The number
-    of such sets still grows exponentially, so polygons are capped at
-    D_BRUTEFORCE_MAX_M = 16 sides, where the count takes about 0.15 s.
+    splits on each diagonal in turn (left out, or taken, which drops each
+    free diagonal it crosses), memoised on the set of diagonals still free.
+    The number of such sets still grows exponentially, so polygons are
+    capped at D_BRUTEFORCE_MAX_M = 16 sides, where the count takes about 0.15 s.
     """
     if m > D_BRUTEFORCE_MAX_M:
         raise ValueError("m=%d exceeds the enumeration cap %d" % (m, D_BRUTEFORCE_MAX_M))

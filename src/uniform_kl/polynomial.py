@@ -9,6 +9,16 @@ when the quotient is again integral.
 __all__ = ["UniPoly"]
 
 
+def _sum_text(terms):
+    """Text of a sum from (coefficient, body) pairs, each body showing the
+    magnitude of its coefficient: terms joined by " + " or " - ", a bare "-"
+    before a negative first term, and "0" for the empty sum."""
+    text = "".join((" - " if c < 0 else " + ") + body for c, body in terms)
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
 class UniPoly:
     """Polynomial in one variable t with int coefficients.
 
@@ -120,23 +130,11 @@ class UniPoly:
         return out
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for e, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                head = "" if mag == 1 else str(mag)
-                body = head + ("t" if e == 1 else "t^%d" % e)
-            if not pieces:
-                pieces.append(("-" if c < 0 else "") + body)
-            else:
-                pieces.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(pieces)
+        return _sum_text(
+            (c, ("" if e and abs(c) == 1 else str(abs(c))) + ("t^%d" % e if e > 1 else "t" * e))
+            for e, c in enumerate(self.coeffs)
+            if c
+        )
 
     def __repr__(self):
         return "UniPoly<%s>" % self

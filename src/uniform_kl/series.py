@@ -10,7 +10,7 @@ otherwise.
 """
 
 from .klnumbers import kl_poly, twisted_binomial_sum
-from .polynomial import UniPoly
+from .polynomial import UniPoly, _sum_text
 
 __all__ = [
     "USeries",
@@ -138,16 +138,11 @@ class USeries:
         return out
 
     def __str__(self):
-        pieces = []
-        for e, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            u = "" if e == 0 else ("u" if e == 1 else "u^%d" % e)
-            body = str(c) if not u else ("(%s)%s" % (c, u) if len(c.coeffs) > 1 or c != 1 else u)
-            pieces.append(body)
-        if not pieces:
-            return "0"
-        return " + ".join(pieces)
+        return _sum_text(
+            (1, str(c) if e == 0 else ("" if c == 1 else "(%s)" % c) + ("u^%d" % e if e > 1 else "u"))
+            for e, c in enumerate(self.coeffs)
+            if c
+        )
 
     def __repr__(self):
         return "USeries<order %d: %s>" % (self.order, self)

@@ -15,6 +15,8 @@ each step of the recursion collapse to a single irreducible.
 import math
 from functools import cache
 
+from .polynomial import _sum_text
+
 __all__ = [
     "Partition",
     "partitions_of",
@@ -194,19 +196,10 @@ class VirtualRep:
         return self.n == other.n and self.terms == other.terms
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for lam in sorted(self.terms, reverse=True):
-            m = self.terms[lam]
-            body = "V[%s]" % ",".join(str(p) for p in lam)
-            if abs(m) != 1:
-                body = "%d*%s" % (abs(m), body)
-            if not pieces:
-                pieces.append(("-" if m < 0 else "") + body)
-            else:
-                pieces.append(("- " if m < 0 else "+ ") + body)
-        return " ".join(pieces)
+        return _sum_text(
+            (m, ("" if abs(m) == 1 else "%d*" % abs(m)) + "V[%s]" % ",".join(map(str, lam)))
+            for lam, m in sorted(self.terms.items(), reverse=True)
+        )
 
     def __repr__(self):
         return "VirtualRep<S_%d: %s>" % (self.n, self)

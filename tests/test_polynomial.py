@@ -150,3 +150,7 @@ def test_str_rendering():
     assert str(UniPoly([0, -4, -4])) == "-4t - 4t^2"
     assert str(UniPoly([0, 1])) == "t"
     assert str(UniPoly([-1, 1])) == "-1 + t"
+    assert str(UniPoly([1, -1])) == "1 - t"
+    assert str(UniPoly([0, -1])) == "-t"
+    assert str(UniPoly([-3])) == "-3"
+    assert str(UniPoly([2, 0, -1])) == "2 - t^2"

@@ -390,6 +390,9 @@ def test_virtual_rep_rendering():
     r = VirtualRep(4, {Partition((4,)): 1, Partition((3, 1)): -2})
     assert str(r) == "V[4] - 2*V[3,1]"
     assert str(irreducible((2, 2))) == "V[2,2]"
+    assert str(VirtualRep(4, {Partition((4,)): -1, Partition((3, 1)): 1})) == "-V[4] + V[3,1]"
+    assert str(VirtualRep(4, {Partition((4,)): 1, Partition((3, 1)): -1})) == "V[4] - V[3,1]"
+    assert str(VirtualRep(4, {Partition((3, 1)): -3})) == "-3*V[3,1]"
 
 
 def test_induce_product_frozen():
