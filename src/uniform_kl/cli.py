@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from collections import namedtuple
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from .klnumbers import (
@@ -146,14 +147,19 @@ def run_suite(name: str, bound=None, write_case=None) -> SuiteReport:
     return SuiteReport(verdicts, failures, wall_time)
 
 
-# The table rows and the verify report in the layout of
-# json.dumps(payload, indent=2).  A row's coefficients are decimal strings,
-# which need no escaping, and a row is never empty: it starts at c(n, 0) = 1.
-_TABLE_ROW = '%s\n  {\n    "n": %d,\n    "coeffs": [\n      "%s"\n    ]\n  }'
-_TABLE_COEFF_SEP = '",\n      "'
+# Per `table` format: the text before the first row and before each later row,
+# the row template of n and the joined coefficients, the joiner and the end.
+# JSON rows, like the verify report below, take json.dumps(payload, indent=2)'s
+# layout: a row is never empty (c(n, 0) = 1) and its decimals need no escaping.
+_TABLE_FORMATS = {
+    "text": ("", "", "n=%d: %s\n", " ", ""),
+    "csv": ("", "", "%d,%s\n", ",", ""),
+    "json": ("[\n", ",\n", '  {\n    "n": %d,\n    "coeffs": [\n      "%s"\n    ]\n  }',
+             '",\n      "', "\n]\n"),
+}
 _VERIFY_SUITE_HEAD = '%s    {\n      "suite": %s,\n      "cases": [\n'
 _VERIFY_CASE = (
-    '%s        {\n          "inputs": %s,\n          "expected": %s,\n'
+    '        {\n          "inputs": %s,\n          "expected": %s,\n'
     '          "actual": %s,\n          "passed": %s\n        }'
 )
 _VERIFY_SUITE_TAIL = (
@@ -163,18 +169,21 @@ _VERIFY_SUITE_TAIL = (
 _JSON_BOOL = {True: "true", False: "false"}
 
 
+def _separated(first, later):
+    """A write that puts `first` before its first item and `later` before the rest."""
+    separators = chain((first,), repeat(later))
+    return lambda item: sys.stdout.write(next(separators) + item)
+
+
 def _json_case_writer(head):
     """A write_case for one suite of the JSON report: `head` goes out with
     its first case, so a suite that runs no case writes nothing."""
-    write = sys.stdout.write
-    sep = head
+    write = _separated(head, ",\n")
 
     def write_case(case):
-        nonlocal sep
         inputs, expected, actual, passed = case
         sides = _quote(str(inputs)), _quote(str(expected)), _quote(str(actual))
-        write(_VERIFY_CASE % (sep, *sides, _JSON_BOOL[passed]))
-        sep = ",\n"
+        write(_VERIFY_CASE % (*sides, _JSON_BOOL[passed]))
 
     return write_case
 
@@ -191,19 +200,11 @@ def _usage_error(message: str) -> int:
 def cmd_table(args) -> int:
     if args.n_max < 2:
         return _usage_error("--n-max must be at least 2")
-    rows = ((n, kl_poly(n).coeffs) for n in range(2, args.n_max + 1))
-    if args.format == "json":
-        sep = "["
-        for n, row in rows:
-            sys.stdout.write(_TABLE_ROW % (sep, n, _TABLE_COEFF_SEP.join(map(str, row))))
-            sep = ","
-        sys.stdout.write("\n]\n")
-    elif args.format == "csv":
-        for n, row in rows:
-            print(",".join([str(n)] + [str(c) for c in row]))
-    else:
-        for n, row in rows:
-            print("n=%d: %s" % (n, " ".join(str(c) for c in row)))
+    first, later, row, joiner, end = _TABLE_FORMATS[args.format]
+    write = _separated(first, later)
+    for n in range(2, args.n_max + 1):
+        write(row % (n, joiner.join(map(str, kl_poly(n).coeffs))))
+    sys.stdout.write(end)
     return 0
 
 
@@ -260,10 +261,8 @@ def cmd_verify(args) -> int:
     as_json = args.format == "json"
     all_ok = True
     for index, name in enumerate(names):
-        write_case = None
-        if as_json:
-            head = _VERIFY_SUITE_HEAD % (",\n" if index else '{\n  "suites": [\n', _quote(name))
-            write_case = _json_case_writer(head)
+        head = _VERIFY_SUITE_HEAD % (",\n" if index else '{\n  "suites": [\n', _quote(name))
+        write_case = _json_case_writer(head) if as_json else None
         try:
             report = run_suite(name, bounds[_SUITES[name][1]], write_case)
         except ValueError as exc:

@@ -233,7 +233,7 @@ def kl_poly(n: int) -> UniPoly:
     row = [1]
     for i in range((n - 2) // 2):
         value, rem = divmod(
-            row[i] * (n - 2 * i - 2) * (n - 2 * i - 3) * (n - i),
+            row[i] * ((n - 2 * i - 2) * (n - 2 * i - 3) * (n - i)),
             (i + 1) * (i + 2) * (n - i - 2),
         )
         if rem or value <= 0:

@@ -29,6 +29,10 @@ def test_table_text(capsys):
     code, out, _ = run(capsys, "table", "--n-max", "4")
     assert code == 0
     assert out.splitlines() == ["n=2: 1", "n=3: 1", "n=4: 1 2"]
+    code, out, _ = run(capsys, "table", "--n-max", "60")
+    assert code == 0
+    rows = range(2, 61)
+    assert out == "".join("n=%d: %s\n" % (n, " ".join(map(str, kl_poly(n).coeffs))) for n in rows)
 
 
 def test_table_json_round_trip(capsys):
@@ -174,6 +178,10 @@ def test_table_csv(capsys):
     code, out, _ = run(capsys, "table", "--n-max", "7", "--format", "csv")
     assert code == 0
     assert out.splitlines()[-1] == "7,1,14,21"
+    code, out, _ = run(capsys, "table", "--n-max", "60", "--format", "csv")
+    assert code == 0
+    rows = range(2, 61)
+    assert out == "".join("%d,%s\n" % (n, ",".join(map(str, kl_poly(n).coeffs))) for n in rows)
 
 
 def test_table_usage_error(capsys):
