@@ -68,7 +68,7 @@ def suite_epw2(n_max: int = 20):
     rows = [UniPoly()]
     for n in range(2, n_max + 1):
         rows.append(kl_poly(n))
-        yield "n=%d" % n, "0", str(_epw2_residual(rows))
+        yield "n=%d" % n, UniPoly(), _epw2_residual(rows)
 
 
 def suite_functional_eq(order: int = 12):

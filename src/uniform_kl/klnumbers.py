@@ -108,7 +108,8 @@ def d_bruteforce(m: int, k: int) -> int:
 @functools.cache
 def _dissection_counts(m: int):
     """Tuple whose entry k is the number of k-element non-crossing diagonal
-    sets of the m-gon, from the crossing relation alone."""
+    sets of the m-gon, from the crossing relation alone, for k up to the
+    largest such set: the m - 3 diagonals of a triangulation."""
     diags = polygon_diagonals(m)
     # blockers[x] has bit y set when diagonal y crosses diagonal x
     blockers = [0] * len(diags)
@@ -118,13 +119,13 @@ def _dissection_counts(m: int):
                 blockers[x] |= 1 << y
                 blockers[y] |= 1 << x
     # the memo is local, so it is freed when this call returns
-    counts = _noncrossing_counts((1 << len(diags)) - 1, blockers, {0: (1,)})
-    return counts + (0,) * (len(diags) + 1 - len(counts))
+    return _noncrossing_counts((1 << len(diags)) - 1, blockers, {0: (1,)})
 
 
 def _noncrossing_counts(free, blockers, memo):
     """Tuple whose entry k is the number of k-element subsets of the
-    diagonal bitmask `free` in which no two cross.
+    diagonal bitmask `free` in which no two cross, for k up to the size of
+    the largest such subset.
 
     Such a subset either leaves out the lowest diagonal of `free`, or takes
     it and draws the rest from the free diagonals that do not cross it.

@@ -24,9 +24,9 @@ __all__ = [
 class USeries:
     """Power series in u truncated at order N: slots for u^0 .. u^(N-1),
     each a UniPoly in t with int coefficients; the constructor also reads
-    an int as a constant coefficient.  `+`, `-` and `*` take another
-    USeries of the same order (ValueError otherwise); `*` also takes an int
-    on the right.  A constant series is `USeries(order, [c])`."""
+    an int as a constant coefficient.  `+`, `-` and `*` take only another
+    USeries of the same order (ValueError otherwise).  A constant series is
+    `USeries(order, [c])`."""
 
     __slots__ = ("order", "coeffs")
 
@@ -67,8 +67,6 @@ class USeries:
         return self + -other
 
     def __mul__(self, other):
-        if type(other) is int:
-            return USeries(self.order, [c * other for c in self.coeffs])
         if not isinstance(other, USeries):
             return NotImplemented
         self._same_order(other)
@@ -81,31 +79,29 @@ class USeries:
         return USeries(self.order, out)
 
     def inverse(self) -> "USeries":
-        """Multiplicative inverse; the u^0 coefficient must be the constant
-        1 or -1, the units of Z[t].  Uses the triangular recurrence
-        r_k = -s_0 * sum_{j>=1} s_j r_{k-j}."""
-        unit = self.coeffs[0]
-        if unit.coeffs not in ((1,), (-1,)):
-            raise ValueError("u^0 coefficient must be the constant 1 or -1")
-        out = [unit]
+        """Multiplicative inverse; the u^0 coefficient must be 1.  Uses the
+        triangular recurrence r_k = -sum_{j>=1} s_j r_{k-j}."""
+        if self.coeffs[0] != UniPoly((1,)):
+            raise ValueError("u^0 coefficient must be 1")
+        out = [self.coeffs[0]]
         for k in range(1, self.order):
             acc = UniPoly()
             for j in range(1, k + 1):
                 sj = self.coeffs[j]
                 if sj:
                     acc += sj * out[k - j]
-            out.append(acc * -unit)
+            out.append(-acc)
         return USeries(self.order, out)
 
     def sqrt(self) -> "USeries":
         """Square root with constant term 1, from the differential equation
-        2 s y' = s' y of y = sqrt(s): its u^(k-1) coefficient gives
+        s (2y') = s' y of y = sqrt(s): its u^(k-1) coefficient gives
             2k y_k = sum over 0 < m <= k of (3m - 2k) s_m y_(k-m),
         one product per nonzero s_m; a remainder in the exact division by
         2k raises ArithmeticError.  The root is checked against the same
         equation, radicand on the left so its zero slots cost no products,
         bar the last slot, which would need y_order.  With z = y^2,
-        y (2 s y' - s' y) = s z' - s' z = s^2 (z/s)', and y, s are units with
+        y (s (2y') - s' y) = s z' - s' z = s^2 (z/s)', and y, s are units with
         z_0 = s_0 = 1, so over Q the check passes iff y^2 = s up to u^order."""
         if self.coeffs[0] != UniPoly((1,)):
             raise ValueError("u^0 coefficient must be 1")
@@ -117,9 +113,9 @@ class USeries:
                     acc += self.coeffs[m] * root[k - m] * (3 * m - 2 * k)
             root.append(acc.divexact(UniPoly((2 * k,))))
         y = USeries(self.order, root)
-        dy = USeries(self.order, [k * c for k, c in enumerate(root)][1:])
+        two_dy = USeries(self.order, [2 * k * c for k, c in enumerate(root)][1:])
         ds = USeries(self.order, [k * c for k, c in enumerate(self.coeffs)][1:])
-        if any((self * dy * 2 - ds * y).coeffs[:-1]):
+        if any((self * two_dy - ds * y).coeffs[:-1]):
             raise ArithmeticError("square root does not square back to the input")
         return y
 
@@ -158,14 +154,14 @@ def beckwith_f(order: int) -> USeries:
     """Dissection series in closed form: the u^m coefficient lists the
     counts of k-diagonal dissections of a convex (m+1)-gon by t-degree.
 
-    Built as 2((2t+1)u + sqrt(1 - 2(2t+1)u + u^2) - 1) divided exactly by
-    1 - (2t+1)^2 = -4t - 4t^2.  Each u-coefficient division is exact in
+    Built as (2t+1)u + sqrt(1 - 2(2t+1)u + u^2) - 1 divided exactly by
+    (1 - (2t+1)^2) / 2 = -2t - 2t^2.  Each u-coefficient division is exact in
     Z[t], so a remainder or a non-integral count raises ArithmeticError.
     """
     a = UniPoly((1, 2))  # 2t + 1
     radicand = USeries(order, [UniPoly((1,)), -2 * a, UniPoly((1,))][:order])
-    numerator = (USeries(order, [-1, a][:order]) + radicand.sqrt()) * 2
-    denominator = UniPoly((0, -4, -4))
+    numerator = USeries(order, [-1, a][:order]) + radicand.sqrt()
+    denominator = UniPoly((0, -2, -2))
     return USeries(order, [c.divexact(denominator) for c in numerator.coeffs])
 
 

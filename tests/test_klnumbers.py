@@ -162,7 +162,7 @@ def test_dissection_counts_match_cayley_to_the_cap():
     for m in range(3, klnumbers.D_BRUTEFORCE_MAX_M + 1):
         counts = klnumbers._dissection_counts(m)
         assert list(counts) == [d_cayley(m, k) for k in range(len(counts))], m
-        assert len(counts) == m * (m - 3) // 2 + 1
+        assert len(counts) == m - 2
 
 
 def test_dissection_counts_read_the_crossing_relation(monkeypatch):

@@ -47,17 +47,17 @@ def test_non_integer_coefficients_rejected():
                 op()
     assert (UniPoly([1]) == True) is False  # noqa: E712
     assert UniPoly() != False  # noqa: E712
-    # `+` and `-` take only their own type, `*` an int scalar besides; a
-    # constant is spelled UniPoly((c,)) or USeries(order, [c])
+    # `+` and `-` take only their own type, and so does USeries `*`; UniPoly
+    # `*` takes an int scalar besides; a constant is spelled UniPoly((c,)) or
+    # USeries(order, [c])
     for op in (
         lambda: p + 1, lambda: 1 + p, lambda: p - 1,
         lambda: s + 1, lambda: 1 + s, lambda: s + p, lambda: s - p,
-        lambda: 2 * s, lambda: s * p,
+        lambda: 2 * s, lambda: s * 2, lambda: s * p,
     ):
         with pytest.raises(TypeError):
             op()
     assert p * 2 == 2 * p == UniPoly([2, 4])
-    assert s * 2 == USeries(3, [2, 4])
     assert UniPoly([1]) == 1
 
 

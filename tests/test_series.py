@@ -126,11 +126,13 @@ def test_inverse_requires_constant_unit():
         USeries(3, [UniPoly([0, 1])]).inverse()  # t is not a constant
     with pytest.raises(ValueError):
         USeries(3, [2]).inverse()  # 2 is not a unit of Z[t]
+    with pytest.raises(ValueError, match="^u\\^0 coefficient must be 1$"):
+        USeries(3, [-1]).inverse()  # a unit too, but only 1 is taken, as by sqrt
 
 
-@given(series, st.sampled_from((1, -1)))
-def test_inverse_roundtrip(s, c0):
-    s = s + USeries(ORDER, [-s.coeffs[0] + UniPoly((c0,))])
+@given(series)
+def test_inverse_roundtrip(s):
+    s = s + USeries(ORDER, [-s.coeffs[0] + UniPoly((1,))])
     assert s * s.inverse() == USeries(ORDER, [1])
 
 
@@ -211,7 +213,7 @@ def test_sqrt_of_dissection_radicand_makes_linearly_many_products(monkeypatch, o
     monkeypatch.setattr(UniPoly, "__rmul__", counted)
     a = UniPoly([1, 2])
     USeries(order, [1, -2 * a, 1]).sqrt()
-    assert len(calls) <= 15 * order
+    assert len(calls) <= 11 * order
 
 
 @given(series)
