@@ -32,19 +32,16 @@ __all__ = [
 ]
 
 
-class Partition(tuple):
-    """The one shape check: a weakly decreasing tuple of positive integers;
-    the empty partition is allowed and indexes the trivial module of S_0.
-    Shapes built by construction stay plain tuples."""
-
-    __slots__ = ()
-
-    def __new__(cls, parts=()):
-        parts = tuple(parts)
-        positive = all(type(p) is int and p > 0 for p in parts)
-        if not positive or any(a < b for a, b in zip(parts, parts[1:])):
-            raise ValueError("not a partition: %r" % (parts,))
-        return tuple.__new__(cls, parts)
+def Partition(parts=()):
+    """The one shape check: returns parts as a plain tuple when it is a
+    weakly decreasing sequence of positive integers, and raises ValueError
+    otherwise; the empty partition is allowed and indexes the trivial
+    module of S_0.  Shapes built by construction skip the check."""
+    parts = tuple(parts)
+    positive = all(type(p) is int and p > 0 for p in parts)
+    if not positive or any(a < b for a, b in zip(parts, parts[1:])):
+        raise ValueError("not a partition: %r" % (parts,))
+    return parts
 
 
 @cache
@@ -133,9 +130,9 @@ class VirtualRep:
 
     Multiplicities are ints (anything else, a bool too, raises TypeError) and
     may be negative; zero ones are dropped, so the zero element has an empty
-    term map.  Every key is a plain tuple: the constructor checks each key, of
-    any type, as a partition of n and stores it as a tuple; _built trusts the
-    keys of ring results, checked ones or the hook rule's.
+    term map.  Every key is a plain tuple: the constructor stores the tuple
+    Partition returns for each key, of any type, of size n; _built trusts
+    the keys of ring results, checked ones or the hook rule's.
     """
 
     __slots__ = ("n", "terms")
@@ -148,7 +145,7 @@ class VirtualRep:
             if type(mult) is not int:
                 raise TypeError("multiplicities must be int, got %s" % type(mult).__name__)
             if mult:
-                lam = tuple(Partition(lam))
+                lam = Partition(lam)
                 if sum(lam) != n:
                     raise ValueError("partition %r has size %d, expected %d" % (lam, sum(lam), n))
                 self.terms[lam] = mult
@@ -249,7 +246,7 @@ def induce_product(left: VirtualRep, right: VirtualRep) -> VirtualRep:
     for mu, cm in left.terms.items():
         # a hook [a, 1^b] has no second part above 1
         if len(mu) > 1 and mu[1] > 1:
-            raise ValueError("left factor term %r is not a hook" % (tuple(mu),))
+            raise ValueError("left factor term %r is not a hook" % (mu,))
         for lam, cl in right.terms.items():
             _hook_product(mu, lam, cm * cl, out)
     return VirtualRep._built(left.n + right.n, out)

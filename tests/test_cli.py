@@ -244,8 +244,14 @@ def test_reps_json(capsys):
 
 
 def test_reps_usage_error(capsys):
-    code, _, _ = run(capsys, "reps", "--n", "4", "--i", "-1")
-    assert code == 2
+    for argv, message in (
+        (("--n", "4", "--i", "-1"), "--i must be nonnegative"),
+        (("--n", "1", "--i", "0"), "--n must be at least 2"),
+    ):
+        code, out, err = run(capsys, "reps", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: %s\n" % message
 
 
 # ------------------------------------------------------------------ verify

@@ -118,6 +118,10 @@ def test_d_cayley_frozen_values():
     assert d_cayley(5, 2) == 5
     assert d_cayley(4, 2) == 0
     assert d_cayley(6, 2) == 21
+    with pytest.raises(ValueError, match="^need m >= 3, got m=2$"):
+        d_cayley(2, 0)
+    with pytest.raises(ValueError, match="^need k >= 0, got k=-1$"):
+        d_cayley(5, -1)
 
 
 def test_polygon_diagonals():
@@ -195,6 +199,10 @@ def test_c_recursion_base_and_frozen():
     # hand expansion: -C(4,1) + C(4;2,0,2) * c(2,0) = -4 + 6
     assert c_recursion(4, 1, table) == 2
     assert c_recursion(6, 2, table) == 5
+    with pytest.raises(ValueError, match="^need n >= 2, got n=1$"):
+        c_recursion(1, 0, table)
+    with pytest.raises(ValueError, match="^need i >= 0, got i=-1$"):
+        c_recursion(5, -1, table)
 
 
 def test_c_recursion_matches_closed_form():

@@ -145,6 +145,7 @@ hooks_strategy = st.integers(0, 6).flatmap(lambda size: st.sampled_from(hooks_of
 
 def test_partition_construction():
     assert Partition((3, 1, 1)) == (3, 1, 1)
+    assert type(Partition((2, 1))) is tuple
     assert Partition() == ()
     assert sum(Partition((3, 1))) == 4
     with pytest.raises(ValueError):
@@ -202,9 +203,8 @@ def test_partitions_of():
 def test_partitions_of_yields_plain_tuples_unchecked(monkeypatch):
     # its shapes are partitions by construction, so none meets the check
     checked = []
-    real = Partition.__new__
     monkeypatch.setattr(
-        Partition, "__new__", lambda cls, parts=(): checked.append(parts) or real(cls, parts)
+        symreps, "Partition", lambda parts=(): checked.append(parts) or Partition(parts)
     )
     partitions_of.cache_clear()
     try:
@@ -304,20 +304,20 @@ def test_virtual_rep_algebra():
         a + irreducible((2, 2))
     with pytest.raises(ValueError):
         VirtualRep(3, {Partition((2, 2)): 1})
+    with pytest.raises(ValueError, match="^need n >= 0, got -1$"):
+        VirtualRep(-1)
 
 
 def test_virtual_rep_checks_every_key_and_ring_operations_do_not(monkeypatch):
-    # a key of type Partition that is not one is checked like any other
-    for key in ((1, 2), (2, 2), tuple.__new__(Partition, (1, 2))):
+    for key in ((1, 2), (2, 2)):
         with pytest.raises(ValueError):
             VirtualRep(3, {key: 1})
     a = VirtualRep(4, {(3, 1): 1, (2, 1, 1): -1})
     b = VirtualRep(4, {(2, 2): 2, (3, 1): 1})
     wedge, point = exterior_rho(3, 1), irreducible((1,))
     checked = []
-    real = Partition.__new__
     monkeypatch.setattr(
-        Partition, "__new__", lambda cls, parts=(): checked.append(parts) or real(cls, parts)
+        symreps, "Partition", lambda parts=(): checked.append(parts) or Partition(parts)
     )
     total, difference, negated = a + b, a - b, -1 * a
     product = induce_product(wedge, point)
@@ -334,8 +334,8 @@ def test_virtual_rep_checks_every_key_and_ring_operations_do_not(monkeypatch):
 
 
 def test_virtual_rep_keys_are_exact_tuples():
-    # one key type: the constructor stores a Partition key or a tuple key as
-    # a plain tuple, and every ring result keeps plain tuple keys
+    # one key type: the constructor stores a checked key as a plain tuple,
+    # and every ring result keeps plain tuple keys
     def assert_tuple_keys(rep):
         assert rep.terms and all(type(lam) is tuple for lam in rep.terms), rep
 
