@@ -84,9 +84,10 @@ def suite_functional_eq(order: int = 12):
 
 def suite_logconcave(n_max: int = 60):
     """Strict log-concavity of every coefficient row up to n_max."""
+    label = "n=%d i=%d: %d^2 vs %d*%d (margin %d)"
     for n in range(2, n_max + 1):
         for t in check_logconcave(n):
-            yield t, True, t.strict
+            yield label % (n, t.i, t.middle, t.lower, t.upper, t.margin), True, t.strict
 
 
 def suite_main2(n_max: int = 14):
@@ -130,8 +131,9 @@ def run_suite(name: str, bound=None, write_case=None) -> SuiteReport:
     """Run one named suite at the value of its bound option (None for its
     default).  Each (inputs, expected, actual) triple becomes the case
     (inputs, expected, actual, passed), handed to `write_case` as soon as it
-    is made; the sides are rendered with str() only when written.  The
-    report keeps the verdicts and only the failing cases."""
+    is made.  The suite makes `inputs`, the case label, as text; the sides
+    are rendered with str() only when written.  The report keeps the
+    verdicts and only the failing cases."""
     func = _SUITES[name][0]
     start = time.perf_counter()
     verdicts, failures = [], []
@@ -182,7 +184,7 @@ def _json_case_writer(head):
 
     def write_case(case):
         inputs, expected, actual, passed = case
-        sides = _quote(str(inputs)), _quote(str(expected)), _quote(str(actual))
+        sides = _quote(inputs), _quote(str(expected)), _quote(str(actual))
         write(_VERIFY_CASE % (*sides, _JSON_BOOL[passed]))
 
     return write_case

@@ -288,11 +288,6 @@ class LogConcaveTriple(namedtuple("LogConcaveTriple", "n i lower middle upper ma
 
     __slots__ = ()
 
-    def __str__(self) -> str:
-        return "n=%d i=%d: %d^2 vs %d*%d (margin %d)" % (
-            self.n, self.i, self.middle, self.lower, self.upper, self.margin
-        )
-
     @property
     def strict(self) -> bool:
         return self.margin > 0

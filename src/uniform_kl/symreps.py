@@ -182,8 +182,6 @@ class VirtualRep:
             return NotImplemented
         return VirtualRep._built(self.n, {lam: scalar * m for lam, m in self.terms.items()})
 
-    __rmul__ = __mul__
-
     def __bool__(self):
         return bool(self.terms)
 

@@ -118,11 +118,11 @@ def _cli_process(*argv, **kwargs):
 
 
 def _assert_closed_pipe_exits_141_quietly(argv, first_line):
-    child = _cli_process(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert child.stdout.readline().startswith(first_line)
-    child.stdout.close()
-    err = child.stderr.read()
-    assert child.wait(timeout=60) == 141
+    with _cli_process(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.readline().startswith(first_line)
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 141
     assert err == b""
 
 
@@ -274,6 +274,20 @@ def test_verify_json(capsys):
     assert report["suite"] == "chords"
     assert report["failed"] == 0
     assert report["passed"] == len(report["cases"])
+
+
+def test_verify_logconcave_labels(capsys):
+    code, out, _ = run(capsys, "verify", "logconcave", "--n-max", "9", "--format", "json")
+    assert code == 0
+    cases = json.loads(out)["suites"][0]["cases"]
+    assert [case["inputs"] for case in cases] == [
+        "n=6 i=1: 9^2 vs 1*5 (margin 76)",
+        "n=7 i=1: 14^2 vs 1*21 (margin 175)",
+        "n=8 i=1: 20^2 vs 1*56 (margin 344)",
+        "n=8 i=2: 56^2 vs 20*14 (margin 2856)",
+        "n=9 i=1: 27^2 vs 1*120 (margin 609)",
+        "n=9 i=2: 120^2 vs 27*84 (margin 12132)",
+    ]
 
 
 def test_verify_each_suite_quick(capsys):

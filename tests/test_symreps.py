@@ -298,8 +298,8 @@ def test_virtual_rep_algebra():
     assert s - a == b
     assert (a - a) == VirtualRep(3)
     assert not (a - a)
-    assert (-1 * a).terms.get(Partition((2, 1)), 0) == -1
-    assert (2 * a).dimension() == 2 * a.dimension()
+    assert (a * -1).terms.get(Partition((2, 1)), 0) == -1
+    assert (a * 2).dimension() == 2 * a.dimension()
     with pytest.raises(ValueError):
         a + irreducible((2, 2))
     with pytest.raises(ValueError):
@@ -319,7 +319,7 @@ def test_virtual_rep_checks_every_key_and_ring_operations_do_not(monkeypatch):
     monkeypatch.setattr(
         symreps, "Partition", lambda parts=(): checked.append(parts) or Partition(parts)
     )
-    total, difference, negated = a + b, a - b, -1 * a
+    total, difference, negated = a + b, a - b, a * -1
     product = induce_product(wedge, point)
     # the ring operations build their results without the constructor's
     # checks: their keys were checked already or come from the hook rule
@@ -342,7 +342,7 @@ def test_virtual_rep_keys_are_exact_tuples():
     a = VirtualRep(4, {Partition((3, 1)): 1, Partition((2, 1, 1)): -1})
     b = VirtualRep(4, {(2, 2): 2, (3, 1): 1})
     c = VirtualRep(4, {Partition((4,)): 1, (3, 1): 3})
-    for rep in (a, b, c, a + b, a - b, 3 * a, a * -2):
+    for rep in (a, b, c, a + b, a - b, a * 3, a * -2):
         assert_tuple_keys(rep)
     assert_tuple_keys(induce_product(exterior_rho(3, 1), a))
     assert_tuple_keys(induce_product(irreducible((2, 1, 1)), b))
@@ -422,7 +422,7 @@ def test_induce_product_bilinear():
     expected = VirtualRep(9)
     for mu, cm in left.terms.items():
         for lam, cl in right.terms.items():
-            expected = expected + cm * cl * induce_product(irreducible(mu), irreducible(lam))
+            expected = expected + induce_product(irreducible(mu), irreducible(lam)) * (cm * cl)
     assert induce_product(left, right) == expected
 
 
@@ -594,7 +594,7 @@ def literal_ih_rep(n, i):
     term an exterior power with the sign (-1)^(p+q)."""
     if 2 * i >= n - 1:
         return VirtualRep(n)
-    total = (-1) ** i * exterior_rho(n, i)
+    total = exterior_rho(n, i) * (-1) ** i
     for p in range(1, n - 1):
         for q in range(min(i, 2 * i - p) + 1):
             sub = literal_ih_rep(p + 1, i - q)
