@@ -116,14 +116,15 @@ def suite_lemma_key(n_max: int = 12):
                     )
 
 
+# Each suite and the bound flag it takes, spelled as typed and as messages name it.
 _SUITES = {
-    "closed-vs-recursion": (suite_closed_vs_recursion, "n_max"),
-    "chords": (suite_chords, "m_max"),
-    "epw2": (suite_epw2, "n_max"),
-    "functional-eq": (suite_functional_eq, "order"),
-    "logconcave": (suite_logconcave, "n_max"),
-    "main2": (suite_main2, "n_max"),
-    "lemma-key": (suite_lemma_key, "n_max"),
+    "closed-vs-recursion": (suite_closed_vs_recursion, "--n-max"),
+    "chords": (suite_chords, "--m-max"),
+    "epw2": (suite_epw2, "--n-max"),
+    "functional-eq": (suite_functional_eq, "--order"),
+    "logconcave": (suite_logconcave, "--n-max"),
+    "main2": (suite_main2, "--n-max"),
+    "lemma-key": (suite_lemma_key, "--n-max"),
 }
 
 
@@ -190,10 +191,6 @@ def _json_case_writer(head):
     return write_case
 
 
-def _flag(param: str) -> str:
-    return "--" + param.replace("_", "-")
-
-
 def _usage_error(message: str) -> int:
     print("error: %s" % message, file=sys.stderr)
     return 2
@@ -247,15 +244,15 @@ def cmd_reps(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    bounds = {"n_max": args.n_max, "m_max": args.m_max, "order": args.order}
+    bounds = {"--n-max": args.n_max, "--m-max": args.m_max, "--order": args.order}
     if args.suite == "all":
         names = list(_SUITES)
     else:
         names = [args.suite]
         used = _SUITES[args.suite][1]
-        for param, value in bounds.items():
-            if value is not None and param != used:
-                return _usage_error("suite %s does not use %s" % (args.suite, _flag(param)))
+        for flag, value in bounds.items():
+            if value is not None and flag != used:
+                return _usage_error("suite %s does not use %s" % (args.suite, flag))
     # The report is written as the suites run: the JSON report,
     # {"suites": [...], "ok": ...} in the bytes of
     # print(json.dumps(payload, indent=2)), one case at a time; the text
@@ -265,14 +262,13 @@ def cmd_verify(args) -> int:
     for index, name in enumerate(names):
         head = _VERIFY_SUITE_HEAD % (",\n" if index else '{\n  "suites": [\n', _quote(name))
         write_case = _json_case_writer(head) if as_json else None
+        flag = _SUITES[name][1]
         try:
-            report = run_suite(name, bounds[_SUITES[name][1]], write_case)
+            report = run_suite(name, bounds[flag], write_case)
         except ValueError as exc:
             return _usage_error("suite %s: %s" % (name, exc))
         if not report.cases:
-            return _usage_error(
-                "suite %s ran zero cases; raise its %s bound" % (name, _flag(_SUITES[name][1]))
-            )
+            return _usage_error("suite %s ran zero cases; raise its %s bound" % (name, flag))
         failed = len(report.failures)
         passed = len(report.cases) - failed
         all_ok = all_ok and not failed

@@ -19,6 +19,7 @@ from .polynomial import UniPoly
 D_BRUTEFORCE_MAX_M = 16
 
 __all__ = [
+    "D_BRUTEFORCE_MAX_M",
     "c_closed",
     "d_cayley",
     "polygon_diagonals",
@@ -283,14 +284,8 @@ def _epw2_residual(rows) -> UniPoly:
     return lhs - (UniPoly(row) + twisted_binomial_sum(rows))
 
 
-class LogConcaveTriple(namedtuple("LogConcaveTriple", "n i lower middle upper margin")):
-    """One strictness check c(n, i)^2 > c(n, i-1) * c(n, i+1) and its margin."""
-
-    __slots__ = ()
-
-    @property
-    def strict(self) -> bool:
-        return self.margin > 0
+# One strictness check c(n, i)^2 > c(n, i-1) * c(n, i+1), its margin and verdict.
+LogConcaveTriple = namedtuple("LogConcaveTriple", "n i lower middle upper margin strict")
 
 
 def check_logconcave(n: int):
@@ -301,6 +296,7 @@ def check_logconcave(n: int):
     """
     row = kl_poly(n).coeffs
     return [
-        LogConcaveTriple(n, i, lower, middle, upper, middle ** 2 - lower * upper)
+        LogConcaveTriple(n, i, lower, middle, upper, margin, margin > 0)
         for i, (lower, middle, upper) in enumerate(zip(row, row[1:], row[2:]), 1)
+        for margin in (middle ** 2 - lower * upper,)
     ]

@@ -87,7 +87,7 @@ def test_verify_json_failing_report_and_escapes(capsys, monkeypatch):
         yield awkward, 1, 1
         yield "n=3 i=0", 1, 2
 
-    monkeypatch.setitem(cli._SUITES, "closed-vs-recursion", (broken_suite, "n_max"))
+    monkeypatch.setitem(cli._SUITES, "closed-vs-recursion", (broken_suite, "--n-max"))
     code, out, _ = run(capsys, "verify", "closed-vs-recursion", "--format", "json")
     assert code == 1
     assert out.isascii()
@@ -312,7 +312,7 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     def broken_suite(n_max=5):
         yield "n=3 i=0", 1, 2
 
-    monkeypatch.setitem(cli._SUITES, "closed-vs-recursion", (broken_suite, "n_max"))
+    monkeypatch.setitem(cli._SUITES, "closed-vs-recursion", (broken_suite, "--n-max"))
     code, out, _ = run(capsys, "verify", "closed-vs-recursion")
     assert code == 1
     assert "FAIL n=3 i=0: expected 1, got 2" in out
@@ -327,7 +327,7 @@ def test_run_suite_counts_each_pass_once(monkeypatch):
         yield "c", 2, 2
 
     passing = cli.run_suite("epw2", 6)
-    monkeypatch.setitem(cli._SUITES, "closed-vs-recursion", (mixed_suite, "n_max"))
+    monkeypatch.setitem(cli._SUITES, "closed-vs-recursion", (mixed_suite, "--n-max"))
     written = []
     failing = cli.run_suite("closed-vs-recursion", write_case=written.append)
     for report, passed in ((passing, 5), (failing, 2)):
@@ -349,7 +349,7 @@ def test_verify_streams_cases(capsys, monkeypatch):
         yield "b", 1, 2
         raise RuntimeError("case c")
 
-    monkeypatch.setitem(cli._SUITES, "closed-vs-recursion", (failing_suite, "n_max"))
+    monkeypatch.setitem(cli._SUITES, "closed-vs-recursion", (failing_suite, "--n-max"))
     with pytest.raises(RuntimeError, match="case c"):
         main(["verify", "closed-vs-recursion", "--format", "json"])
     out = capsys.readouterr().out
@@ -401,11 +401,59 @@ def test_verify_all_gives_each_suite_only_its_own_bound(capsys, monkeypatch, par
 
     for name, (_, used) in list(cli._SUITES.items()):
         monkeypatch.setitem(cli._SUITES, name, (recorder(name), used))
-    code, _, _ = run(capsys, "verify", "all", "--" + param.replace("_", "-"), str(value))
+    flag = "--" + param.replace("_", "-")
+    code, _, _ = run(capsys, "verify", "all", flag, str(value))
     assert code == 0
     assert seen == {
-        name: (value,) if used == param else () for name, (_, used) in cli._SUITES.items()
+        name: (value,) if used == flag else () for name, (_, used) in cli._SUITES.items()
     }
+
+
+def _plant_suites(monkeypatch, failing):
+    """Every suite passes one case; the suite named `failing` also fails one."""
+    import uniform_kl.cli as cli
+
+    def planted(name):
+        def suite(*bound):
+            yield "case", 1, 1
+            if name == failing:
+                yield "bad", 1, 2
+        return suite
+
+    for name, (_, flag) in list(cli._SUITES.items()):
+        monkeypatch.setitem(cli._SUITES, name, (planted(name), flag))
+    return list(cli._SUITES)
+
+
+@pytest.mark.parametrize(
+    "failing, code, overall", [(None, 0, "all suites passed"), ("epw2", 1, "FAILURES")]
+)
+def test_verify_all_text_ends_with_the_overall_verdict(
+    capsys, monkeypatch, failing, code, overall
+):
+    names = _plant_suites(monkeypatch, failing)
+    expected = []
+    for name in names:
+        if name == failing:
+            expected += [name + ": 2 cases, 1 passed, 1 failed", "  FAIL bad: expected 1, got 2"]
+        else:
+            expected.append(name + ": 1 cases, 1 passed, 0 failed")
+    expected.append("overall: " + overall)
+    result, out, _ = run(capsys, "verify", "all")
+    assert result == code
+    assert [re.sub(r" \([0-9.]+s\)$", "", line) for line in out.splitlines()] == expected
+
+
+def test_verify_all_json_fails_the_document_for_one_suite(capsys, monkeypatch):
+    names = _plant_suites(monkeypatch, "epw2")
+    code, out, _ = run(capsys, "verify", "all", "--format", "json")
+    assert code == 1
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    payload = json.loads(out)
+    assert [(s["suite"], s["ok"]) for s in payload["suites"]] == [
+        (name, name != "epw2") for name in names
+    ]
+    assert payload["ok"] is False
 
 
 def test_verify_unknown_suite_exits_2(capsys):

@@ -411,10 +411,27 @@ def test_logconcave_frozen_triples():
         (1, 1, 27, 120),
         (2, 27, 120, 84),
     ]
-    assert tuple(triples[0]) == (9, 1, 1, 27, 120, 609)
+    assert tuple(triples[0]) == (9, 1, 1, 27, 120, 609, True)
     assert triples[0].margin == 729 - 120
     assert triples[1].margin == 14400 - 2268
     assert all(t.strict for t in triples)
+
+
+def test_logconcave_catches_a_planted_flat_row(monkeypatch, capsys):
+    # 1 + 2t + 4t^2 + 9t^3 has a zero margin and a negative one; the zero
+    # margin pins strictness, so a verdict of margin >= 0 is caught too
+    real = klnumbers.kl_poly
+    monkeypatch.setattr(
+        klnumbers, "kl_poly", lambda n: UniPoly([1, 2, 4, 9]) if n == 8 else real(n)
+    )
+    triples = check_logconcave(8)
+    assert [(t.margin, t.strict) for t in triples] == [(0, False), (-2, False)]
+    assert cli.main(["verify", "logconcave", "--n-max", "9"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert fails == [
+        "  FAIL n=8 i=1: 2^2 vs 1*4 (margin 0): expected True, got False",
+        "  FAIL n=8 i=2: 4^2 vs 2*9 (margin -2): expected True, got False",
+    ]
 
 
 def test_logconcave_vacuous_cases():

@@ -16,7 +16,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uniform_kl import symreps
+from uniform_kl import cli, symreps
 from uniform_kl.klnumbers import c_closed
 from uniform_kl.symreps import (
     Partition,
@@ -644,6 +644,18 @@ def test_ih_rep_is_single_irreducible():
 def test_verify_main2_named_case():
     assert verify_main2(14, 5)
     assert ih_rep(14, 5).terms == {Partition((4, 2, 2, 2, 2, 2)): 1}
+
+
+def test_verify_main2_catches_a_planted_reducible_character(monkeypatch, capsys):
+    real = symreps.ih_rep
+    planted = VirtualRep(8, {(4, 2, 2): 1, (4, 4): 1})
+    monkeypatch.setattr(
+        symreps, "ih_rep", lambda n, i: planted if (n, i) == (8, 2) else real(n, i)
+    )
+    assert not verify_main2(8, 2)
+    assert cli.main(["verify", "main2", "--n-max", "8"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert fails == ["  FAIL ih(8,2) irreducible: expected True, got False"]
 
 
 def test_verify_main2_domain():
