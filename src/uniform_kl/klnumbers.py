@@ -113,12 +113,7 @@ def _dissection_counts(m: int):
     largest such set: the m - 3 diagonals of a triangulation."""
     diags = polygon_diagonals(m)
     # blockers[x] has bit y set when diagonal y crosses diagonal x
-    blockers = [0] * len(diags)
-    for x in range(len(diags)):
-        for y in range(x + 1, len(diags)):
-            if diagonals_cross(diags[x], diags[y]):
-                blockers[x] |= 1 << y
-                blockers[y] |= 1 << x
+    blockers = [sum(1 << y for y, e in enumerate(diags) if diagonals_cross(d, e)) for d in diags]
     # the memo is local, so it is freed when this call returns
     return _noncrossing_counts((1 << len(diags)) - 1, blockers, {0: (1,)})
 
@@ -150,30 +145,31 @@ class KLTable:
     """Grid of coefficients filled bottom-up by the double-sum recursion.
 
     Only the band 2i < n - 1 is stored, and the recursion reads only inside
-    it: c_recursion reads `sums`, the inner sum of each (s, j) that a row up
-    to max_n reads, filled from s's signed Pascal row once row s is; __init__
-    reads `cells`.  get() serves the CLI and tests: 0 outside the band.
+    it: `rows[n]` is [c(n, 0), ..., c(n, (n-2)//2)], the coefficient row of
+    P_n, which __init__ reads; c_recursion reads `sums`, the signed inner sum
+    sum_k (-1)^(s-k) C(s, k) c(k, j) of each (s, j) that a row up to max_n
+    reads, filled from s's signed Pascal row once row s is.  get() serves
+    the CLI and tests: 0 outside the band.
     """
 
     def __init__(self, max_n: int):
         if max_n < 2:
             raise ValueError("need max_n >= 2, got %d" % max_n)
         self.max_n = max_n
-        self.cells = {}
+        self.rows = {}
         self.sums = {}
         top = (max_n - 2) // 2  # highest i of any stored row
         for n in range(2, max_n + 1):
-            for i in range((n - 2) // 2 + 1):
-                self.cells[n, i] = c_recursion(n, i, self)
+            self.rows[n] = [c_recursion(n, i, self) for i in range((n - 2) // 2 + 1)]
             # rows up to max_n read (n, j) only as (i + j + 1, j) with j < i <= top
-            signed = [(-1) ** k * math.comb(n, k) for k in range(n + 1)]
+            signed = [(-1) ** (n - k) * math.comb(n, k) for k in range(n + 1)]
             for j in range(max(0, n - 1 - top), (n - 2) // 2 + 1):
-                self.sums[n, j] = sum(signed[k] * self.cells[k, j] for k in range(2 * j + 2, n + 1))
+                self.sums[n, j] = sum(signed[k] * self.rows[k][j] for k in range(2 * j + 2, n + 1))
 
     def get(self, n: int, i: int) -> int:
         if i < 0 or 2 * i >= n - 1:
             return 0
-        return self.cells[n, i]
+        return self.rows[n][i]
 
 
 def c_recursion(n: int, i: int, table: KLTable) -> int:
@@ -186,10 +182,10 @@ def c_recursion(n: int, i: int, table: KLTable) -> int:
     With s = i+j+1 the multinomial weight factors as
     C(n; k, s-k, n-s) = C(n, s) C(s, k), so each j contributes
 
-        (-1)^s C(n, s) sum over 2j+2 <= k <= s of (-1)^k C(s, k) c(k, j).
+        C(n, s) sum over 2j+2 <= k <= s of (-1)^(s-k) C(s, k) c(k, j).
 
-    The inner sum depends on (s, j) alone, so every row n > s shares it:
-    KLTable fills table.sums[s, j] once, from row s's signed Pascal row.
+    The signed inner sum depends on (s, j) alone, so every row n > s shares
+    it: KLTable fills table.sums[s, j] once, from row s's signed Pascal row.
     As j steps, s = i+j+1 steps by one, so C(n, s) is stepped from C(n, i).
 
     `table` was built to at least n (a larger n raises ValueError), or is
@@ -215,8 +211,7 @@ def c_recursion(n: int, i: int, table: KLTable) -> int:
     for j in range(i):
         s = i + j + 1
         weight = weight * (n - s + 1) // s  # C(n, s) from C(n, s-1), exactly
-        weighted = weight * table.sums[s, j]
-        acc += -weighted if s & 1 else weighted
+        acc += weight * table.sums[s, j]
     return acc
 
 

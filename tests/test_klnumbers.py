@@ -263,6 +263,20 @@ def test_kl_table_keeps_one_inner_sum_per_pair():
     assert len(KLTable(100).sums) == 1225
 
 
+def test_kl_table_stores_rows_and_signed_inner_sums():
+    # every stored inner sum carries the sign (-1)^(s-k) that c_recursion
+    # adds it with, and every row is the coefficient row of P_n
+    table = KLTable(40)
+    for (s, j), value in table.sums.items():
+        signed = sum(
+            (-1) ** (s - k) * math.comb(s, k) * c_closed(k, j) for k in range(2 * j + 2, s + 1)
+        )
+        assert value == signed, (s, j)
+    assert sorted(table.rows) == list(range(2, 41))
+    for n, row in table.rows.items():
+        assert row == list(kl_poly(n).coeffs), n
+
+
 def test_kl_table():
     table = KLTable(10)
     for n in range(2, 11):
