@@ -161,21 +161,18 @@ class VirtualRep:
         dimensions; may be negative."""
         return sum(m * hook_dimension(lam) for lam, m in self.terms.items())
 
-    def _combine(self, other, sign):
+    def __add__(self, other):
         if not isinstance(other, VirtualRep):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("degrees differ: %d vs %d" % (self.n, other.n))
         out = dict(self.terms)
         for lam, m in other.terms.items():
-            out[lam] = out.get(lam, 0) + sign * m
+            out[lam] = out.get(lam, 0) + m
         return VirtualRep._built(self.n, out)
 
-    def __add__(self, other):
-        return self._combine(other, 1)
-
     def __sub__(self, other):
-        return self._combine(other, -1)
+        return self + other * -1
 
     def __mul__(self, scalar):
         if type(scalar) is not int:
@@ -328,8 +325,9 @@ def lemma_key_check(n: int, i: int, p: int, q: int):
     if head < 2:
         return (0, 0)
     nu, lam = (n - 2 * i,) + (2,) * i, (head,) + (2,) * (i - q)
-    hooks = (_hook(n + q - 2 * i - 1, 2 * i - p - q), _hook(n + q - 2 * i, 2 * i - p - q - 1))
-    return tuple(0 if mu is None else lr_coefficient(nu, mu, lam) for mu in hooks)
+    # p <= 2i-q < n-1 keeps the first hook in range: the terms are [mu] or [mu, mu']
+    hooks = exterior_rho(n - p - 1, 2 * i - p - q).terms
+    return tuple(lr_coefficient(nu, mu, lam) for mu in hooks) + (0,) * (2 - len(hooks))
 
 
 def lemma_key_expected(n: int, i: int, p: int, q: int):

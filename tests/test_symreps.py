@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from uniform_kl import cli, symreps
 from uniform_kl.klnumbers import c_closed
+from uniform_kl.polynomial import UniPoly
 from uniform_kl.symreps import (
     Partition,
     VirtualRep,
@@ -302,6 +303,11 @@ def test_virtual_rep_algebra():
     assert (a * 2).dimension() == 2 * a.dimension()
     with pytest.raises(ValueError):
         a + irreducible((2, 2))
+    with pytest.raises(ValueError):
+        a - irreducible((2, 2))
+    for other in (1, 0.5, UniPoly((1,))):
+        with pytest.raises(TypeError):
+            a - other
     with pytest.raises(ValueError):
         VirtualRep(3, {Partition((2, 2)): 1})
     with pytest.raises(ValueError, match="^need n >= 0, got -1$"):
@@ -656,6 +662,19 @@ def test_verify_main2_catches_a_planted_reducible_character(monkeypatch, capsys)
     assert cli.main(["verify", "main2", "--n-max", "8"]) == 1
     fails = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
     assert fails == ["  FAIL ih(8,2) irreducible: expected True, got False"]
+
+
+def test_lemma_key_catches_a_planted_nonzero_coefficient(monkeypatch, capsys):
+    # every LR count reads 1, so each coefficient shows whether its hook is asked
+    monkeypatch.setattr(symreps, "lr_coefficient", lambda nu, mu, lam: 1)
+    assert lemma_key_check(8, 3, 2, 3) == (1, 1)  # both hooks in range
+    assert lemma_key_check(7, 2, 2, 2) == (1, 0)  # 2i-p-q = 0: only the first hook
+    assert lemma_key_check(6, 2, 3, 1) == (1, 0) == lemma_key_expected(6, 2, 3, 1)
+    assert lemma_key_check(6, 2, 2, 1) == (0, 0)  # head of lam below 2
+    assert cli.main(["verify", "lemma-key", "--n-max", "8"]) == 1
+    summary, first = capsys.readouterr().out.splitlines()[:2]
+    assert summary.startswith("lemma-key: 60 cases, 49 passed, 11 failed (")
+    assert first == "  FAIL n=6 i=2 p=1 q=2: expected (0, 0), got (1, 1)"
 
 
 def test_verify_main2_domain():
