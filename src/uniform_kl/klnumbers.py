@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 from itertools import zip_longest
 
-from .polynomial import UniPoly
+from .polynomial import UniPoly, _need
 
 # the memoised count of the 16-gon takes about 0.15 s and 24 MiB of memo
 D_BRUTEFORCE_MAX_M = 16
@@ -40,10 +40,8 @@ def c_closed(n: int, i: int) -> int:
 
     Vanishes precisely when 2i >= n - 1.
     """
-    if n < 2:
-        raise ValueError("need n >= 2, got n=%d" % n)
-    if i < 0:
-        raise ValueError("need i >= 0, got i=%d" % i)
+    _need("n", n, 2)
+    _need("i", i, 0)
     if 2 * i >= n - 1:
         return 0
     value, rem = divmod(math.comb(n - i - 2, i) * math.comb(n, i), i + 1)
@@ -55,10 +53,8 @@ def c_closed(n: int, i: int) -> int:
 def d_cayley(m: int, k: int) -> int:
     """Number of k-element non-crossing diagonal sets of a convex m-gon,
     by the closed form binom(m-3, k) * binom(m+k-1, k) / (k+1)."""
-    if m < 3:
-        raise ValueError("need m >= 3, got m=%d" % m)
-    if k < 0:
-        raise ValueError("need k >= 0, got k=%d" % k)
+    _need("m", m, 3)
+    _need("k", k, 0)
     value, rem = divmod(math.comb(m - 3, k) * math.comb(m + k - 1, k), k + 1)
     if rem:
         raise ArithmeticError(
@@ -69,8 +65,7 @@ def d_cayley(m: int, k: int) -> int:
 
 def polygon_diagonals(m: int):
     """Diagonals of the convex m-gon on vertices 0..m-1, as sorted pairs."""
-    if m < 3:
-        raise ValueError("need m >= 3, got m=%d" % m)
+    _need("m", m, 3)
     return [
         (a, b)
         for a in range(m)
@@ -153,8 +148,7 @@ class KLTable:
     """
 
     def __init__(self, max_n: int):
-        if max_n < 2:
-            raise ValueError("need max_n >= 2, got %d" % max_n)
+        _need("max_n", max_n, 2)
         self.max_n = max_n
         self.rows = {}
         self.sums = {}
@@ -198,10 +192,8 @@ def c_recursion(n: int, i: int, table: KLTable) -> int:
     (it even returns (-1)^i instead of 0 at i = n-1 and i = n), so indices
     with 2i >= n - 1 answer 0 directly.
     """
-    if n < 2:
-        raise ValueError("need n >= 2, got n=%d" % n)
-    if i < 0:
-        raise ValueError("need i >= 0, got i=%d" % i)
+    _need("n", n, 2)
+    _need("i", i, 0)
     if n > table.max_n:
         raise ValueError("n=%d exceeds the table bound max_n=%d" % (n, table.max_n))
     if 2 * i >= n - 1:
@@ -225,8 +217,7 @@ def kl_poly(n: int) -> UniPoly:
     so each step is one exact division; a remainder or a non-positive
     value raises ArithmeticError.
     """
-    if n < 2:
-        raise ValueError("need n >= 2, got n=%d" % n)
+    _need("n", n, 2)
     row = [1]
     for i in range((n - 2) // 2):
         value, rem = divmod(
@@ -260,8 +251,7 @@ def check_epw2(n: int):
     sum_{k>=2} C(n, k) (t-1)^(n-k) P_k(t).  Returns (holds, residual);
     `residual` is the polynomial difference, zero exactly when it holds.
     """
-    if n < 2:
-        raise ValueError("need n >= 2, got n=%d" % n)
+    _need("n", n, 2)
     residual = _epw2_residual([UniPoly()] + [kl_poly(k) for k in range(2, n + 1)])
     return (not residual, residual)
 

@@ -9,6 +9,12 @@ when the quotient is again integral.
 __all__ = ["UniPoly"]
 
 
+def _need(name, value, least):
+    """Refuse an argument below the least value of its domain."""
+    if value < least:
+        raise ValueError("need %s >= %d, got %s=%d" % (name, least, name, value))
+
+
 def _sum_text(terms):
     """Text of a sum from (coefficient, body) pairs, each body showing the
     magnitude of its coefficient: terms joined by " + " or " - ", a bare "-"

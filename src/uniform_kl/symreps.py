@@ -15,7 +15,7 @@ each step of the recursion collapse to a single irreducible.
 import math
 from functools import cache
 
-from .polynomial import _sum_text
+from .polynomial import _need, _sum_text
 
 __all__ = [
     "Partition",
@@ -138,8 +138,7 @@ class VirtualRep:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
-        if n < 0:
-            raise ValueError("need n >= 0, got %d" % n)
+        _need("n", n, 0)
         self.n, self.terms = n, {}
         for lam, mult in (terms or {}).items():
             if type(mult) is not int:
@@ -256,8 +255,7 @@ def exterior_rho(m: int, k: int) -> VirtualRep:
     """k-th exterior power of the m-point permutation representation:
     the sum of the hooks [m-k, 1^k] and [m-k+1, 1^(k-1)], either of which
     drops out when its shape is out of range.  Virtual dimension C(m, k)."""
-    if m < 1:
-        raise ValueError("need m >= 1, got %d" % m)
+    _need("m", m, 1)
     hooks = (_hook(m - k, k), _hook(m - k + 1, k - 1))
     return VirtualRep._built(m, {lam: 1 for lam in hooks if lam is not None})
 
@@ -280,10 +278,8 @@ def ih_rep(n: int, i: int) -> VirtualRep:
     (-1)^h Ind([m-h, 1^h] (x) ih(p+1, j)).  Less the cached lower i', that
     is ih(n, i), never assumed irreducible: verify_main2 checks that.
     """
-    if n < 2:
-        raise ValueError("need n >= 2, got %d" % n)
-    if i < 0:
-        raise ValueError("need i >= 0, got %d" % i)
+    _need("n", n, 2)
+    _need("i", i, 0)
     if 2 * i >= n - 1:
         return VirtualRep(n)
     total = VirtualRep._built(n, {_hook(n - i, i): (-1) ** i})

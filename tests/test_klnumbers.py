@@ -26,6 +26,7 @@ from uniform_kl.klnumbers import (
 )
 from uniform_kl import cli, klnumbers
 from uniform_kl.polynomial import UniPoly
+from uniform_kl.symreps import VirtualRep, exterior_rho, ih_rep
 
 
 # ---------------------------------------------------------------- oracles
@@ -458,3 +459,34 @@ def test_logconcave_vacuous_cases():
 @given(st.integers(2, 40))
 def test_logconcave_holds(n):
     assert all(t.strict for t in check_logconcave(n))
+
+
+# ---------------------------------------------------------------- domains
+
+
+DOMAIN_CASES = [
+    (c_closed, (1, 0), "^need n >= 2, got n=1$"),
+    (c_closed, (4, -1), "^need i >= 0, got i=-1$"),
+    (d_cayley, (2, 0), "^need m >= 3, got m=2$"),
+    (d_cayley, (5, -1), "^need k >= 0, got k=-1$"),
+    (polygon_diagonals, (2,), "^need m >= 3, got m=2$"),
+    (KLTable, (1,), "^need max_n >= 2, got max_n=1$"),
+    (c_recursion, (1, 0, KLTable(5)), "^need n >= 2, got n=1$"),
+    (c_recursion, (4, -1, KLTable(5)), "^need i >= 0, got i=-1$"),
+    (kl_poly, (1,), "^need n >= 2, got n=1$"),
+    (check_epw2, (1,), "^need n >= 2, got n=1$"),
+    (VirtualRep, (-1,), "^need n >= 0, got n=-1$"),
+    (exterior_rho, (0, 0), "^need m >= 1, got m=0$"),
+    (ih_rep, (1, 0), "^need n >= 2, got n=1$"),
+    (ih_rep, (4, -1), "^need i >= 0, got i=-1$"),
+]
+
+
+@pytest.mark.parametrize(
+    "func, args, pattern",
+    DOMAIN_CASES,
+    ids=["%s-%s" % (func.__name__, pattern.split()[1]) for func, _, pattern in DOMAIN_CASES],
+)
+def test_every_domain_check_speaks_one_format(func, args, pattern):
+    with pytest.raises(ValueError, match=pattern):
+        func(*args)
