@@ -2,11 +2,11 @@
 the verification suites, with text, JSON, or CSV output.
 
 Exit codes: 0 on success, 1 when a verification suite reports a failing
-case, 2 on usage errors, 141 when the reader closes stdout early.  A
-verification bound outside the suite's domain, a bound flag the suite does
-not use, and a bound so small that the suite runs no case are usage errors.
-Large integers are emitted as decimal strings in JSON, at any length, so
-nothing is lost to floating point.
+case, 2 on usage errors, 141 when the reader closes stdout early.  An
+argument outside the domain of the code that reads it, a bound flag the
+suite does not use, and a bound so small that the suite runs no case are
+usage errors.  Large integers are emitted as decimal strings in JSON, at
+any length, so nothing is lost to floating point.
 """
 
 import argparse
@@ -19,7 +19,6 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 
 from .klnumbers import (
-    D_BRUTEFORCE_MAX_M,
     KLTable,
     _epw2_residual,
     c_closed,
@@ -28,7 +27,7 @@ from .klnumbers import (
     d_cayley,
     kl_poly,
 )
-from .polynomial import UniPoly
+from .polynomial import UniPoly, _need
 from .series import USeries, check_functional_equation, g_series, phi_from_table
 from .symreps import hook_dimension, ih_rep, lemma_key_check, lemma_key_expected, verify_main2
 
@@ -50,8 +49,7 @@ def suite_closed_vs_recursion(n_max: int = 25):
 def suite_chords(m_max: int = 12):
     """Dissection closed form against brute-force enumeration, and the
     coefficient identity c(n, i) = d(n-i+1, i)."""
-    if m_max > D_BRUTEFORCE_MAX_M:
-        raise ValueError("m_max=%d exceeds the enumeration cap %d" % (m_max, D_BRUTEFORCE_MAX_M))
+    d_bruteforce(max(m_max, 3), 0)  # its own cap refuses m_max before any case; m_max < 3 runs none
     for m in range(3, m_max + 1):
         for k in range(m - 1):
             yield "m=%d k=%d" % (m, k), d_cayley(m, k), d_bruteforce(m, k)
@@ -197,8 +195,7 @@ def _usage_error(message: str) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.n_max < 2:
-        return _usage_error("--n-max must be at least 2")
+    _need("n_max", args.n_max, 2)
     first, later, row, joiner, end = _TABLE_FORMATS[args.format]
     write = _separated(first, later)
     for n in range(2, args.n_max + 1):
@@ -208,8 +205,6 @@ def cmd_table(args) -> int:
 
 
 def cmd_poly(args) -> int:
-    if args.n < 2:
-        return _usage_error("--n must be at least 2")
     poly = kl_poly(args.n)
     if args.format == "json":
         payload = {"n": args.n, "coeffs": [str(c) for c in poly.coeffs]}
@@ -220,10 +215,6 @@ def cmd_poly(args) -> int:
 
 
 def cmd_reps(args) -> int:
-    if args.n < 2:
-        return _usage_error("--n must be at least 2")
-    if args.i < 0:
-        return _usage_error("--i must be nonnegative")
     rep = ih_rep(args.n, args.i)
     if args.format == "json":
         payload = {
@@ -332,6 +323,8 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
+    except ValueError as exc:  # poly, reps and table refuse before their first write
+        return _usage_error(str(exc))
     except BrokenPipeError:
         # The reader closed the pipe: quiet the interpreter's final flush and
         # exit as a shell reports death by SIGPIPE.

@@ -128,8 +128,7 @@ class UniPoly:
     def __pow__(self, k):
         if type(k) is not int:
             raise TypeError("exponent must be int, got %s" % type(k).__name__)
-        if k < 0:
-            raise ValueError("exponent must be nonnegative, got %d" % k)
+        _need("k", k, 0)
         out = UniPoly((1,))
         for _ in range(k):
             out = out * self

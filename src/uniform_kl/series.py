@@ -10,7 +10,7 @@ otherwise.
 """
 
 from .klnumbers import kl_poly, twisted_binomial_sum
-from .polynomial import UniPoly, _sum_text
+from .polynomial import UniPoly, _need, _sum_text
 
 __all__ = [
     "USeries",
@@ -31,8 +31,7 @@ class USeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs=()):
-        if order < 1:
-            raise ValueError("order must be positive, got %d" % order)
+        _need("order", order, 1)
         cs = [c if isinstance(c, UniPoly) else UniPoly((c,)) for c in coeffs]
         if len(cs) > order:
             raise ValueError("got %d coefficients for order %d" % (len(cs), order))
@@ -193,8 +192,7 @@ def check_functional_equation(order: int, phi: USeries | None = None) -> USeries
     series.  `phi` defaults to the table series and may be replaced by any
     candidate of the same order; any other order raises ValueError.
     """
-    if order < 2:
-        raise ValueError("order must be at least 2, got %d" % order)
+    _need("order", order, 2)
     table = phi_from_table(order)
     if phi is None:
         phi = table

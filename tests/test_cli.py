@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from uniform_kl.cli import main
-from uniform_kl.klnumbers import kl_poly
+from uniform_kl.klnumbers import d_bruteforce, kl_poly
 
 
 def run(capsys, *argv):
@@ -185,9 +185,12 @@ def test_table_csv(capsys):
 
 
 def test_table_usage_error(capsys):
-    code, _, err = run(capsys, "table", "--n-max", "1")
-    assert code == 2
-    assert "n-max" in err
+    # the JSON format is where a missing check would write its closing "\n]\n"
+    for fmt in ("text", "json", "csv"):
+        code, out, err = run(capsys, "table", "--n-max", "1", "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err == "error: need n_max >= 2, got n_max=1\n"
 
 
 # -------------------------------------------------------------------- poly
@@ -206,8 +209,10 @@ def test_poly_json(capsys):
 
 
 def test_poly_usage_error(capsys):
-    code, _, _ = run(capsys, "poly", "--n", "1")
+    code, out, err = run(capsys, "poly", "--n", "1")
     assert code == 2
+    assert out == ""
+    assert err == "error: need n >= 2, got n=1\n"
 
 
 # -------------------------------------------------------------------- reps
@@ -245,8 +250,8 @@ def test_reps_json(capsys):
 
 def test_reps_usage_error(capsys):
     for argv, message in (
-        (("--n", "4", "--i", "-1"), "--i must be nonnegative"),
-        (("--n", "1", "--i", "0"), "--n must be at least 2"),
+        (("--n", "4", "--i", "-1"), "need i >= 0, got i=-1"),
+        (("--n", "1", "--i", "0"), "need n >= 2, got n=1"),
     ):
         code, out, err = run(capsys, "reps", *argv)
         assert code == 2
@@ -552,16 +557,20 @@ def test_verify_all_text_stops_at_a_vacuous_suite(capsys):
 def test_verify_chords_refuses_bound_above_cap(capsys, monkeypatch):
     import uniform_kl.cli as cli
 
-    def no_case(m, k):
-        raise AssertionError("a case ran before the bound was refused")
+    calls = []
 
-    # d_bruteforce stops at 16-gons; the refusal must come before any case runs
-    monkeypatch.setattr(cli, "d_bruteforce", no_case)
+    def spy(m, k):
+        calls.append((m, k))
+        return d_bruteforce(m, k)
+
+    # d_bruteforce stops at 16-gons; its own refusal must come before any case runs
+    monkeypatch.setattr(cli, "d_bruteforce", spy)
     for fmt in ("text", "json"):
         code, out, err = run(capsys, "verify", "chords", "--m-max", "17", "--format", fmt)
         assert code == 2
         assert out == ""
-        assert err == "error: suite chords: m_max=17 exceeds the enumeration cap 16\n"
+        assert err == "error: suite chords: m=17 exceeds the enumeration cap 16\n"
+    assert calls == [(17, 0), (17, 0)]
 
 
 @pytest.mark.parametrize("order", ["-1", "0", "1"])
@@ -571,7 +580,7 @@ def test_verify_functional_eq_names_the_least_order(capsys, order):
     code, out, err = run(capsys, "verify", "functional-eq", "--order", order)
     assert code == 2
     assert out == ""
-    assert err == "error: suite functional-eq: order must be at least 2, got %s\n" % order
+    assert err == "error: suite functional-eq: need order >= 2, got order=%s\n" % order
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ polygon backtracking to an independent filter over all diagonal subsets.
 """
 
 import math
+import operator
 from itertools import combinations
 
 import pytest
@@ -26,6 +27,7 @@ from uniform_kl.klnumbers import (
 )
 from uniform_kl import cli, klnumbers
 from uniform_kl.polynomial import UniPoly
+from uniform_kl.series import USeries, check_functional_equation
 from uniform_kl.symreps import VirtualRep, exterior_rho, ih_rep
 
 
@@ -157,7 +159,8 @@ def test_d_bruteforce_walks_each_polygon_once():
     klnumbers._dissection_counts.cache_clear()
     cli.run_suite("chords")
     info = klnumbers._dissection_counts.cache_info()
-    assert (info.misses, info.hits) == (10, 110)
+    # the suite reads its largest polygon, the 12-gon, once before its cases
+    assert (info.misses, info.hits) == (10, 111)
     for m in range(3, 13):
         ks = range(m - 2)
         assert sum(d_bruteforce(m, k) for k in ks) == sum(d_cayley(m, k) for k in ks), m
@@ -479,6 +482,9 @@ DOMAIN_CASES = [
     (exterior_rho, (0, 0), "^need m >= 1, got m=0$"),
     (ih_rep, (1, 0), "^need n >= 2, got n=1$"),
     (ih_rep, (4, -1), "^need i >= 0, got i=-1$"),
+    (USeries, (0,), "^need order >= 1, got order=0$"),
+    (check_functional_equation, (1,), "^need order >= 2, got order=1$"),
+    (operator.pow, (UniPoly((1,)), -1), "^need k >= 0, got k=-1$"),
 ]
 
 
