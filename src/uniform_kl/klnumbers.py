@@ -18,22 +18,6 @@ from .polynomial import UniPoly, _need
 # the memoised count of the 16-gon takes about 0.15 s and 24 MiB of memo
 D_BRUTEFORCE_MAX_M = 16
 
-__all__ = [
-    "D_BRUTEFORCE_MAX_M",
-    "c_closed",
-    "d_cayley",
-    "polygon_diagonals",
-    "diagonals_cross",
-    "d_bruteforce",
-    "KLTable",
-    "c_recursion",
-    "kl_poly",
-    "twisted_binomial_sum",
-    "check_epw2",
-    "LogConcaveTriple",
-    "check_logconcave",
-]
-
 
 def c_closed(n: int, i: int) -> int:
     """Coefficient of t^i: binom(n-i-2, i) * binom(n, i) / (i+1), exactly.

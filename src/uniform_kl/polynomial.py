@@ -6,8 +6,6 @@ keeps int coefficients, refuses any other coefficient type, and divides only
 when the quotient is again integral.
 """
 
-__all__ = ["UniPoly"]
-
 
 def _need(name, value, least):
     """Refuse an argument below the least value of its domain."""

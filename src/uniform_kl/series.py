@@ -12,14 +12,6 @@ otherwise.
 from .klnumbers import kl_poly, twisted_binomial_sum
 from .polynomial import UniPoly, _need, _sum_text
 
-__all__ = [
-    "USeries",
-    "phi_from_table",
-    "beckwith_f",
-    "g_series",
-    "check_functional_equation",
-]
-
 
 class USeries:
     """Power series in u truncated at order N: slots for u^0 .. u^(N-1),

@@ -17,20 +17,6 @@ from functools import cache
 
 from .polynomial import _need, _sum_text
 
-__all__ = [
-    "Partition",
-    "partitions_of",
-    "hook_dimension",
-    "lr_coefficient",
-    "VirtualRep",
-    "induce_product",
-    "exterior_rho",
-    "ih_rep",
-    "verify_main2",
-    "lemma_key_check",
-    "lemma_key_expected",
-]
-
 
 def Partition(parts=()):
     """The one shape check: returns parts as a plain tuple when it is a

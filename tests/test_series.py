@@ -77,12 +77,15 @@ def test_order_mismatch_rejected():
         USeries(3, [1]) - USeries(4, [1])
     with pytest.raises(ValueError):
         USeries(3, [1]) * USeries(4, [1])
+    with pytest.raises(TypeError):
+        USeries(3) + 1
 
 
 def test_str_rendering():
     assert str(USeries(3)) == "0"
     assert str(USeries(4, [1, UniPoly((0, 1)), -1, 1])) == "1 + (t)u + (-1)u^2 + u^3"
     assert str(USeries(3, [0, 0, UniPoly((1, 2))])) == "(1 + 2t)u^2"
+    assert repr(USeries(2, [1])) == "USeries<order 2: 1>"
 
 
 def test_truncated_product():

@@ -299,6 +299,8 @@ def test_virtual_rep_algebra():
     assert s - a == b
     assert (a - a) == VirtualRep(3)
     assert not (a - a)
+    assert (VirtualRep(2) == 0) is False
+    assert (VirtualRep(2) != 0) is True
     assert (a * -1).terms.get(Partition((2, 1)), 0) == -1
     assert (a * 2).dimension() == 2 * a.dimension()
     with pytest.raises(ValueError):
@@ -399,6 +401,7 @@ def test_virtual_rep_rendering():
     assert str(VirtualRep(4, {Partition((4,)): -1, Partition((3, 1)): 1})) == "-V[4] + V[3,1]"
     assert str(VirtualRep(4, {Partition((4,)): 1, Partition((3, 1)): -1})) == "V[4] - V[3,1]"
     assert str(VirtualRep(4, {Partition((3, 1)): -3})) == "-3*V[3,1]"
+    assert repr(VirtualRep(3, {(2, 1): 1})) == "VirtualRep<S_3: V[2,1]>"
 
 
 def test_induce_product_frozen():
