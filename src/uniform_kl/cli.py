@@ -114,7 +114,7 @@ def suite_lemma_key(n_max: int = 12):
                     )
 
 
-# Each suite and the bound flag it takes, spelled as typed and as messages name it.
+# Each suite and its bound flag, as typed and as messages name it: `verify` accepts only these.
 _SUITES = {
     "closed-vs-recursion": (suite_closed_vs_recursion, "--n-max"),
     "chords": (suite_chords, "--m-max"),
@@ -154,9 +154,9 @@ def run_suite(name: str, bound=None, write_case=None) -> SuiteReport:
 # layout: a row is never empty (c(n, 0) = 1) and its decimals need no escaping.
 _TABLE_FORMATS = {
     "text": ("", "", "n=%d: %s\n", " ", ""),
-    "csv": ("", "", "%d,%s\n", ",", ""),
     "json": ("[\n", ",\n", '  {\n    "n": %d,\n    "coeffs": [\n      "%s"\n    ]\n  }',
              '",\n      "', "\n]\n"),
+    "csv": ("", "", "%d,%s\n", ",", ""),
 }
 _VERIFY_SUITE_HEAD = '%s    {\n      "suite": %s,\n      "cases": [\n'
 _VERIFY_CASE = (
@@ -235,7 +235,7 @@ def cmd_reps(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    bounds = {"--n-max": args.n_max, "--m-max": args.m_max, "--order": args.order}
+    bounds = {flag: getattr(args, flag[2:].replace("-", "_")) for _, flag in _SUITES.values()}
     if args.suite == "all":
         names = list(_SUITES)
     else:
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="coefficient table for 2 <= n <= N")
     p.add_argument("--n-max", type=int, required=True, metavar="N")
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--format", choices=tuple(_TABLE_FORMATS), default="text")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("poly", help="one Kazhdan-Lusztig polynomial")
@@ -306,9 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=tuple(_SUITES) + ("all",))
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--order", type=int, default=None)
+    for flag in dict.fromkeys(flag for _, flag in _SUITES.values()):
+        p.add_argument(flag, type=int)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
 

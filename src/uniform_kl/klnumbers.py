@@ -128,7 +128,7 @@ class KLTable:
     P_n, which __init__ reads; c_recursion reads `sums`, the signed inner sum
     sum_k (-1)^(s-k) C(s, k) c(k, j) of each (s, j) that a row up to max_n
     reads, filled from s's signed Pascal row once row s is.  get() serves
-    the CLI and tests: 0 outside the band.
+    the CLI and tests: 0 outside the band, and a ValueError past max_n.
     """
 
     def __init__(self, max_n: int):
@@ -145,9 +145,9 @@ class KLTable:
                 self.sums[n, j] = sum(signed[k] * self.rows[k][j] for k in range(2 * j + 2, n + 1))
 
     def get(self, n: int, i: int) -> int:
-        if i < 0 or 2 * i >= n - 1:
-            return 0
-        return self.rows[n][i]
+        if n > self.max_n:
+            raise ValueError("n=%d exceeds the table bound max_n=%d" % (n, self.max_n))
+        return self.rows[n][i] if 0 <= 2 * i < n - 1 else 0
 
 
 def c_recursion(n: int, i: int, table: KLTable) -> int:

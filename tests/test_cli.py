@@ -174,7 +174,9 @@ def test_table_streams_rows(capsys, monkeypatch, fmt):
         assert out.splitlines() == expected[fmt]
 
 
-def test_table_csv(capsys):
+def test_table_csv(capsys, monkeypatch):
+    import uniform_kl.cli as cli
+
     code, out, _ = run(capsys, "table", "--n-max", "7", "--format", "csv")
     assert code == 0
     assert out.splitlines()[-1] == "7,1,14,21"
@@ -182,6 +184,10 @@ def test_table_csv(capsys):
     assert code == 0
     rows = range(2, 61)
     assert out == "".join("%d,%s\n" % (n, ",".join(map(str, kl_poly(n).coeffs))) for n in rows)
+    # a format's row is all that a new format needs
+    monkeypatch.setitem(cli._TABLE_FORMATS, "tsv", ("", "", "%d\t%s\n", "\t", ""))
+    code, out, _ = run(capsys, "table", "--n-max", "5", "--format", "tsv")
+    assert (code, out) == (0, "2\t1\n3\t1\n4\t1\t2\n5\t1\t5\n")
 
 
 def test_table_usage_error(capsys):
@@ -392,7 +398,9 @@ def test_verify_keeps_no_passing_record(monkeypatch, fmt):
     assert peak < 1 << 20, peak
 
 
-@pytest.mark.parametrize("param, value", [("n_max", 7), ("m_max", 8), ("order", 9)])
+@pytest.mark.parametrize(
+    "param, value", [("n_max", 7), ("m_max", 8), ("order", 9), ("k_max", 10)]
+)
 def test_verify_all_gives_each_suite_only_its_own_bound(capsys, monkeypatch, param, value):
     import uniform_kl.cli as cli
 
@@ -406,12 +414,16 @@ def test_verify_all_gives_each_suite_only_its_own_bound(capsys, monkeypatch, par
 
     for name, (_, used) in list(cli._SUITES.items()):
         monkeypatch.setitem(cli._SUITES, name, (recorder(name), used))
+    # a suite's entry is all that a new bound flag needs
+    monkeypatch.setitem(cli._SUITES, "planted", (recorder("planted"), "--k-max"))
     flag = "--" + param.replace("_", "-")
     code, _, _ = run(capsys, "verify", "all", flag, str(value))
     assert code == 0
     assert seen == {
         name: (value,) if used == flag else () for name, (_, used) in cli._SUITES.items()
     }
+    code, out, err = run(capsys, "verify", "planted", "--n-max", "3")
+    assert (code, out, err) == (2, "", "error: suite planted does not use --n-max\n")
 
 
 def _plant_suites(monkeypatch, failing):

@@ -258,8 +258,9 @@ def test_c_recursion_refuses_rows_past_its_table():
     for n, i in ((12, 2), (30, 5)):
         with pytest.raises(ValueError, match="^n=%d exceeds the table bound max_n=10$" % n):
             c_recursion(n, i, table)
-    with pytest.raises(KeyError):
-        table.get(12, 2)
+    for n, i in ((11, 0), (11, 9), (12, 2)):
+        with pytest.raises(ValueError, match="^n=%d exceeds the table bound max_n=10$" % n):
+            table.get(n, i)
 
 
 def test_kl_table_keeps_one_inner_sum_per_pair():
