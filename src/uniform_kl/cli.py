@@ -189,9 +189,9 @@ def _json_case_writer(head):
     return write_case
 
 
-def _usage_error(message: str) -> int:
-    print("error: %s" % message, file=sys.stderr)
-    return 2
+def _print(args, payload, text) -> None:
+    """Print `payload` as json.dumps(payload, indent=2) under --format json, else `text`."""
+    print(json.dumps(payload, indent=2) if args.format == "json" else text)
 
 
 def cmd_table(args) -> int:
@@ -206,44 +206,34 @@ def cmd_table(args) -> int:
 
 def cmd_poly(args) -> int:
     poly = kl_poly(args.n)
-    if args.format == "json":
-        payload = {"n": args.n, "coeffs": [str(c) for c in poly.coeffs]}
-        print(json.dumps(payload, indent=2))
-    else:
-        print(poly)
+    payload = {"n": args.n, "coeffs": [str(c) for c in poly.coeffs]}
+    _print(args, payload, poly)
     return 0
 
 
 def cmd_reps(args) -> int:
     rep = ih_rep(args.n, args.i)
-    if args.format == "json":
-        payload = {
-            "n": args.n,
-            "i": args.i,
-            "terms": [
-                {"partition": list(lam), "mult": str(rep.terms[lam])}
-                for lam in sorted(rep.terms, reverse=True)
-            ],
-            "dimension": str(rep.dimension()),
-        }
-        print(json.dumps(payload, indent=2))
-    elif not rep:
-        print("0")
-    else:
-        print("%s (dim %d)" % (rep, rep.dimension()))
+    dimension = rep.dimension()
+    payload = {
+        "n": args.n,
+        "i": args.i,
+        "terms": [
+            {"partition": list(lam), "mult": str(rep.terms[lam])}
+            for lam in sorted(rep.terms, reverse=True)
+        ],
+        "dimension": str(dimension),
+    }
+    _print(args, payload, "%s (dim %d)" % (rep, dimension) if rep else "0")
     return 0
 
 
 def cmd_verify(args) -> int:
     bounds = {flag: getattr(args, flag[2:].replace("-", "_")) for _, flag in _SUITES.values()}
-    if args.suite == "all":
-        names = list(_SUITES)
-    else:
-        names = [args.suite]
-        used = _SUITES[args.suite][1]
-        for flag, value in bounds.items():
-            if value is not None and flag != used:
-                return _usage_error("suite %s does not use %s" % (args.suite, flag))
+    names = [args.suite] if args.suite in _SUITES else list(_SUITES)  # the other choice is "all"
+    used = {_SUITES[name][1] for name in names}
+    for flag, value in bounds.items():
+        if value is not None and flag not in used:
+            raise ValueError("suite %s does not use %s" % (args.suite, flag))
     # The report is written as the suites run: the JSON report,
     # {"suites": [...], "ok": ...} in the bytes of
     # print(json.dumps(payload, indent=2)), one case at a time; the text
@@ -257,9 +247,9 @@ def cmd_verify(args) -> int:
         try:
             report = run_suite(name, bounds[flag], write_case)
         except ValueError as exc:
-            return _usage_error("suite %s: %s" % (name, exc))
+            raise ValueError("suite %s: %s" % (name, exc)) from exc
         if not report.cases:
-            return _usage_error("suite %s ran zero cases; raise its %s bound" % (name, flag))
+            raise ValueError("suite %s ran zero cases; raise its %s bound" % (name, flag))
         failed = len(report.failures)
         passed = len(report.cases) - failed
         all_ok = all_ok and not failed
@@ -322,8 +312,9 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
-    except ValueError as exc:  # poly, reps and table refuse before their first write
-        return _usage_error(str(exc))
+    except ValueError as exc:  # a refusal comes before its command's or its suite's first write
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # The reader closed the pipe: quiet the interpreter's final flush and
         # exit as a shell reports death by SIGPIPE.

@@ -243,15 +243,14 @@ def test_reps_named_case(capsys):
 
 
 def test_reps_json(capsys):
-    code, out, _ = run(capsys, "reps", "--n", "8", "--i", "3", "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload == {
-        "n": 8,
-        "i": 3,
-        "terms": [{"partition": [2, 2, 2, 2], "mult": "1"}],
-        "dimension": "14",
-    }
+    for n, i, terms, dimension in (
+        (8, 3, [{"partition": [2, 2, 2, 2], "mult": "1"}], "14"),
+        (5, 2, [], "0"),  # past the vanishing threshold
+    ):
+        code, out, _ = run(capsys, "reps", "--n", str(n), "--i", str(i), "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload == {"n": n, "i": i, "terms": terms, "dimension": dimension}
 
 
 def test_reps_usage_error(capsys):
@@ -483,6 +482,18 @@ def test_missing_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [("poly", "--n", "6"), ("reps", "--n", "4", "--i", "1"), ("verify", "epw2")]
+)
+def test_only_table_takes_csv(capsys, argv):
+    # poly and reps print text for any format but json, so the parser's
+    # choices are what keep csv, which test_table_csv runs, out of them
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "csv"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 BOUND_FLAGS = {
