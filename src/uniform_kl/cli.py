@@ -32,8 +32,8 @@ from .series import USeries, check_functional_equation, g_series, phi_from_table
 from .symreps import hook_dimension, ih_rep, lemma_key_check, lemma_key_expected, verify_main2
 
 
-# One suite run: the verdict of each case, the failing cases as
-# (inputs, expected, actual, passed) tuples, and its wall time.
+# One suite run: the verdict of each case, one byte each (1 passed, 0 failed),
+# the failing cases as (inputs, expected, actual, passed) tuples, and its wall time.
 SuiteReport = namedtuple("SuiteReport", "cases failures wall_time")
 
 
@@ -132,10 +132,10 @@ def run_suite(name: str, bound=None, write_case=None) -> SuiteReport:
     (inputs, expected, actual, passed), handed to `write_case` as soon as it
     is made.  The suite makes `inputs`, the case label, as text; the sides
     are rendered with str() only when written.  The report keeps the
-    verdicts and only the failing cases."""
+    verdicts, in a bytearray, and only the failing cases."""
     func = _SUITES[name][0]
     start = time.perf_counter()
-    verdicts, failures = [], []
+    verdicts, failures = bytearray(), []
     for inputs, expected, actual in func() if bound is None else func(bound):
         passed = expected == actual
         case = (inputs, expected, actual, passed)

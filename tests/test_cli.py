@@ -341,14 +341,23 @@ def test_run_suite_counts_each_pass_once(monkeypatch):
     written = []
     failing = cli.run_suite("closed-vs-recursion", write_case=written.append)
     for report, passed in ((passing, 5), (failing, 2)):
-        assert all(type(verdict) is bool for verdict in report.cases)
+        assert all(verdict in (0, 1) for verdict in report.cases)
         assert len(report.cases) - len(report.failures) == sum(report.cases) == passed
     # one verdict per case; only the failing record is kept, and every
     # record went to write_case in order
-    assert failing.cases == [True, False, True]
+    assert list(failing.cases) == [1, 0, 1]
     assert passing.failures == []
     assert failing.failures == [("b", 1, 2, False)]
     assert written == [("a", 1, 1, True), ("b", 1, 2, False), ("c", 2, 2, True)]
+
+
+def test_run_suite_keeps_a_byte_per_verdict():
+    import uniform_kl.cli as cli
+
+    # 21,904 logconcave cases; a list of bools would hold an 8-byte pointer each
+    report = cli.run_suite("logconcave", 300)
+    assert len(report.cases) == 21904
+    assert sys.getsizeof(report.cases) < 2 * len(report.cases)
 
 
 def test_verify_streams_cases(capsys, monkeypatch):
@@ -385,7 +394,7 @@ class _NullWriter(io.TextIOBase):
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_verify_keeps_no_passing_record(monkeypatch, fmt):
     # 21,904 logconcave cases: their records took about 5 MiB, while
-    # their verdicts take 8 bytes each
+    # their verdicts take one byte each
     monkeypatch.setattr(sys, "stdout", _NullWriter())
     tracemalloc.start()
     try:

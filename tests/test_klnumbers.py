@@ -186,6 +186,24 @@ def test_dissection_counts_read_the_crossing_relation(monkeypatch):
     assert list(counts) != [d_cayley(6, k) for k in range(len(counts))]
 
 
+def test_dissection_counts_multiply_parts_no_crossing_joins(monkeypatch):
+    # with no crossing at all, every diagonal is a part of its own, and the
+    # product of the nine parts (1 + t) of the hexagon is (1 + t)^9
+    monkeypatch.setattr(klnumbers, "diagonals_cross", lambda d, e: False)
+    counts = klnumbers._dissection_counts.__wrapped__(6)  # bypass the cache
+    assert list(counts) == [math.comb(9, k) for k in range(10)]
+
+
+def test_noncrossing_counts_memo_stays_small_at_the_cap():
+    # split only on the lowest diagonal, the 16-gon's memo kept 106,497 free sets
+    diags = polygon_diagonals(16)
+    blockers = [sum(1 << y for y, e in enumerate(diags) if diagonals_cross(d, e)) for d in diags]
+    memo = {0: UniPoly((1,))}
+    counts = klnumbers._noncrossing_counts((1 << len(diags)) - 1, blockers, memo)
+    assert len(memo) <= 2500, len(memo)
+    assert list(counts.coeffs) == [d_cayley(16, k) for k in range(14)]
+
+
 def test_d_bruteforce_cap():
     assert d_bruteforce(16, 13) == d_cayley(16, 13)
     with pytest.raises(ValueError):
